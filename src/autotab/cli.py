@@ -12,6 +12,7 @@ from .harness import (
     DEFAULT_SEED,
     DEFAULT_TEST_RATIO,
     DEFAULT_TUNE_BUDGET,
+    ENSEMBLE_NAME,
     ExperimentConfig,
     HarnessError,
     run_experiment,
@@ -114,7 +115,7 @@ def _cmd_score(args) -> int:
     else:
         base = {pid: predict_proba(m, ds) for pid, m in loaded.members.items()}
         probas = ensemble_predict(loaded.ensemble, base)
-        name = "WeightedEnsemble_L2"
+        name = ENSEMBLE_NAME
     rep = report(ds.target(), probas)
     undef = "undefined"
     print(f"model: {name}  rows: {ds.row_count}")

@@ -5,10 +5,10 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -182,14 +182,6 @@ class TabularDataset:
         cols = {name: arr[idx] for name, arr in self.columns.items()}
         masks = {name: mask[idx] for name, mask in self.missing.items()}
         return TabularDataset(self.schema, cols, masks)
-
-    def replace_columns(
-        self,
-        schema: Sequence[ColumnSchema],
-        columns: Dict[str, np.ndarray],
-        missing: Optional[Dict[str, np.ndarray]] = None,
-    ) -> "TabularDataset":
-        return TabularDataset(schema, columns, missing)
 
     def equals(self, other: "TabularDataset") -> bool:
         if self.schema != other.schema or self.row_count != other.row_count:

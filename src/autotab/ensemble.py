@@ -17,8 +17,8 @@ import numpy as np
 from .data import TabularDataset
 from .learners.features import LearnerError
 from .learners.presets import ModelSpec
-from .metrics import MetricError, accuracy, confusion, roc_auc
-from .model import model_applicable, predict_proba, train
+from .metrics import accuracy, confusion
+from .model import NOT_APPLICABLE, model_applicable, predict_proba, train
 
 __all__ = [
     "EnsembleError",
@@ -120,7 +120,7 @@ def oof_predictions(
     skipped: Dict[str, str] = {}
     for spec in specs:
         if not model_applicable(spec, train_ds.feature_schema):
-            skipped[spec.preset_id] = "no continuous feature columns"
+            skipped[spec.preset_id] = NOT_APPLICABLE
             continue
         acc = np.zeros(folds.n_rows)
         try:
@@ -145,17 +145,6 @@ def oof_predictions(
     )
 
 
-def _column_score(labels: np.ndarray, probas: np.ndarray, metric: str) -> float:
-    if metric == "accuracy":
-        return accuracy(confusion(labels, probas))
-    if metric == "roc_auc":
-        try:
-            return roc_auc(labels, probas)
-        except MetricError:
-            return 0.0
-    raise EnsembleError(f"unknown selection metric {metric!r}")
-
-
 def default_threshold(single_accuracies: Sequence[float]) -> float:
     best = max(single_accuracies)
     return max(best - THRESHOLD_MARGIN, THRESHOLD_FLOOR)
@@ -165,7 +154,6 @@ def greedy_select(
     oof: OofMatrix,
     threshold_k: Optional[float] = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    metric: str = "accuracy",
 ) -> EnsembleModel:
     """Forward stepwise selection with replacement over the OOF columns.
 
@@ -197,7 +185,7 @@ def greedy_select(
         best_score = current
         for pid in candidates:
             trial = (pooled + oof.column(pid)) / (len(selections) + 1)
-            score = _column_score(oof.labels, trial, metric)
+            score = accuracy(confusion(oof.labels, trial))
             if score > best_score:
                 best_score = score
                 best_pid = pid

@@ -28,9 +28,9 @@ from .ensemble import (
     kfold_assign,
     oof_predictions,
 )
-from .learners.presets import ModelSpec, PRESET_INDEX
+from .learners.presets import PRESET_INDEX
 from .metrics import MetricsReport, accuracy, confusion, report
-from .model import model_applicable, predict_proba, registry_presets, train, tune_preset
+from .model import predict_proba, registry_presets, train, tune_preset
 from .preprocess import PreprocessArtifacts, ScenarioId, scenario_preprocess
 from .serialize import save_artifacts, save_ensemble, save_model
 
@@ -125,33 +125,17 @@ def emit_leaderboard(
     csv_path = out_dir / "leaderboard.csv"
     txt_path = out_dir / "leaderboard.txt"
 
-    lines = [LEADERBOARD_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.model,
-                    str(r.stack_level),
-                    _fmt(r.accuracy_test),
-                    _fmt(r.accuracy_val),
-                    _fmt(r.roc_auc),
-                    _fmt(r.precision),
-                    _fmt(r.f1),
-                    _fmt(r.recall),
-                ]
-            )
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    headers = LEADERBOARD_HEADER.split(",")
-    name_w = max(len(headers[0]), max(len(r.model) for r in rows))
-    cols = [h for h in headers[1:]]
-    txt_lines = [
-        headers[0].ljust(name_w) + "  " + "  ".join(h.rjust(13) for h in cols)
+    table = [LEADERBOARD_HEADER.split(",")] + [
+        [r.model, str(r.stack_level)]
+        + [_fmt(v) for v in (r.accuracy_test, r.accuracy_val, r.roc_auc, r.precision, r.f1, r.recall)]
+        for r in rows
     ]
-    for line in lines[1:]:
-        parts = line.split(",")
-        txt_lines.append(parts[0].ljust(name_w) + "  " + "  ".join(p.rjust(13) for p in parts[1:]))
+    csv_path.write_text("".join(",".join(cells) + "\n" for cells in table), encoding="utf-8")
+
+    name_w = max(len(cells[0]) for cells in table)
+    txt_lines = [
+        cells[0].ljust(name_w) + "  " + "  ".join(c.rjust(13) for c in cells[1:]) for cells in table
+    ]
     if skips:
         txt_lines.append("")
         txt_lines.append("skipped models:")
@@ -218,17 +202,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     wanted = cfg.presets if cfg.presets is not None else tuple(PRESET_INDEX)
     base_specs = [s.with_seed(cfg.seed) for s in registry_presets() if s.preset_id in wanted]
-    skips: Dict[str, str] = {}
-    applicable: List[ModelSpec] = []
-    for spec in base_specs:
-        if model_applicable(spec, train_ds.feature_schema):
-            applicable.append(spec)
-        else:
-            skips[spec.preset_id] = "no continuous feature columns after preprocessing"
-
     tuned = phase(
         "tune",
-        lambda: [tune_preset(spec, train_ds, cfg.tune_budget) for spec in applicable],
+        lambda: [tune_preset(spec, train_ds, cfg.tune_budget) for spec in base_specs],
     )
 
     def _oof():
@@ -238,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return oof_predictions(tuned, train_ds, folds)
 
     oof = phase("stack", _oof)
-    skips.update(oof.skipped)
+    skips = oof.skipped
     val_acc = {
         pid: accuracy(confusion(oof.labels, oof.probas[:, i]))
         for i, pid in enumerate(oof.preset_ids)
@@ -277,6 +253,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def _emit():
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a rerun into a used directory must not leave another run's models behind
+        written = {f"model_{pid}.json" for pid in [*models, ENSEMBLE_NAME]}
+        for stale in out_dir.glob("model_*.json"):
+            if stale.name not in written:
+                stale.unlink()
         files = emit_leaderboard(rows, out_dir, skips)
         files["artifacts"] = save_artifacts(artifacts, ds.schema, out_dir / "artifacts.json")
         member_files: Dict[str, str] = {}

@@ -26,14 +26,6 @@ def dataset_matrix(ds: TabularDataset) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def column_kinds(ds: TabularDataset) -> Tuple[ColumnKind, ...]:
-    return tuple(c.kind for c in ds.feature_schema)
-
-
-def column_cardinalities(ds: TabularDataset) -> Tuple[int, ...]:
-    return tuple(len(c.categories) if c.categories else 0 for c in ds.feature_schema)
-
-
 @dataclass(frozen=True)
 class Featurizer:
     """One-hot expansion plus standardization, fitted on training rows.

@@ -23,6 +23,19 @@ class KnnModel:
     weighted: bool
 
 
+def knn_to_doc(model: KnnModel) -> dict:
+    return {"k": model.k, "weighted": model.weighted, "X": model.X.tolist(), "y": model.y.tolist()}
+
+
+def knn_from_doc(doc: dict) -> KnnModel:
+    return KnnModel(
+        X=np.asarray(doc["X"], dtype=np.float64),
+        y=np.asarray(doc["y"], dtype=np.float64),
+        k=int(doc["k"]),
+        weighted=bool(doc["weighted"]),
+    )
+
+
 def fit_knn(X: np.ndarray, y: np.ndarray, params: dict) -> KnnModel:
     if len(X) == 0:
         raise LearnerError("cannot fit nearest neighbours on zero rows")

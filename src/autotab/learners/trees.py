@@ -111,6 +111,26 @@ class TreeArrays:
         return len(self.feature)
 
 
+_TREE_DTYPES = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "value": np.float64,
+}
+
+
+def trees_to_doc(trees: Sequence[TreeArrays]) -> List[dict]:
+    return [{name: getattr(t, name).tolist() for name in _TREE_DTYPES} for t in trees]
+
+
+def trees_from_doc(doc: Sequence[dict]) -> List[TreeArrays]:
+    return [
+        TreeArrays(**{name: np.asarray(t[name], dtype=dt) for name, dt in _TREE_DTYPES.items()})
+        for t in doc
+    ]
+
+
 def _xlogx(c: np.ndarray) -> np.ndarray:
     out = np.zeros_like(c, dtype=np.float64)
     np.log(c, out=out, where=c > 0)
@@ -136,11 +156,7 @@ class _Builder:
 
     def finish(self) -> TreeArrays:
         return TreeArrays(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
+            **{name: np.asarray(getattr(self, name), dtype=dt) for name, dt in _TREE_DTYPES.items()}
         )
 
 
@@ -168,12 +184,10 @@ def grow_tree(
     leaf_of_row = np.zeros(k, dtype=np.float64)
 
     def leaf_values(count, sums):
+        if mode == "newton":
+            return sums[0] / (sums[1] + lam)
         count = count.astype(np.float64)
-        if mode in ("gini", "entropy"):
-            return np.where(count > 0, sums[0] / np.maximum(count, 1.0), 0.0)
-        if mode == "sse":
-            return np.where(count > 0, sums[0] / np.maximum(count, 1.0), 0.0)
-        return sums[0] / (sums[1] + lam)  # newton
+        return np.where(count > 0, sums[0] / np.maximum(count, 1.0), 0.0)
 
     # active level state
     node_ids = builder.new_nodes(1)
@@ -185,13 +199,12 @@ def grow_tree(
     depth = 0
     while len(node_ids) > 0:
         # finalize nodes that cannot or must not split
-        done = counts < 2 * min_leaf
-        if depth >= max_depth:
-            done |= True
-        if mode in ("gini", "entropy"):
-            done |= (sums[0] == 0) | (sums[0] == counts)
         if oblivious:
             done = np.full(len(node_ids), depth >= max_depth)
+        else:
+            done = (counts < 2 * min_leaf) | (depth >= max_depth)
+            if mode in ("gini", "entropy"):
+                done |= (sums[0] == 0) | (sums[0] == counts)
         if done.any():
             vals = leaf_values(counts[done], sums[:, done])
             for nid, v in zip(node_ids[done], vals):
@@ -294,26 +307,18 @@ def grow_tree(
             gsel = np.where(vsel, gsel, -np.inf)
             fbest = np.argmax(gsel, axis=1)
             best_col = np.take_along_axis(col, fbest[:, None], axis=1).ravel()
-            best_gain = np.take_along_axis(gsel, fbest[:, None], axis=1).ravel()
+            split = np.take_along_axis(gsel, fbest[:, None], axis=1).ravel() > eps
+        elif oblivious:
+            # one shared cut per level: every node splits on it, or none does
+            total_gain = np.where(valid, np.maximum(gains, 0.0), 0.0).sum(axis=0)
+            col = int(np.argmax(total_gain))
+            best_col = np.full(A, col, dtype=np.int64)
+            split = np.full(A, total_gain[col] > eps)
         else:
             masked = np.where(valid, gains, -np.inf)
-            if oblivious:
-                per_node = np.where(valid, np.maximum(gains, 0.0), 0.0)
-                total_gain = per_node.sum(axis=0)
-                col = int(np.argmax(total_gain))
-                if total_gain[col] <= eps:
-                    best_col = np.full(A, -1, dtype=np.int64)
-                    best_gain = np.full(A, -np.inf)
-                else:
-                    best_col = np.full(A, col, dtype=np.int64)
-                    best_gain = np.full(A, np.inf)  # all split
-            if not oblivious:
-                best_col = np.argmax(masked, axis=1)
-                best_gain = np.take_along_axis(masked, best_col[:, None], axis=1).ravel()
+            best_col = np.argmax(masked, axis=1)
+            split = np.take_along_axis(masked, best_col[:, None], axis=1).ravel() > eps
 
-        split = best_gain > eps
-        if oblivious:
-            split = best_col >= 0
         n_split = int(split.sum())
         if n_split == 0:
             vals = leaf_values(counts, sums)

@@ -8,24 +8,16 @@ reproducible stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .data import ColumnKind, ColumnSchema, TabularDataset, schema_fingerprint, split_train_test
-from .learners.boosting import BoostModel, fit_gbt, gbt_proba
-from .learners.features import (
-    Featurizer,
-    LearnerError,
-    column_cardinalities,
-    column_kinds,
-    dataset_matrix,
-    featurize,
-    fit_featurizer,
-)
-from .learners.forest import ForestModel, fit_forest, forest_proba
-from .learners.knn import KnnModel, fit_knn, knn_proba
-from .learners.mlp import MlpModel, fit_mlp, mlp_proba
+from .learners.boosting import fit_gbt, gbt_from_doc, gbt_proba, gbt_to_doc
+from .learners.features import Featurizer, LearnerError, dataset_matrix, featurize, fit_featurizer
+from .learners.forest import fit_forest, forest_from_doc, forest_proba, forest_to_doc
+from .learners.knn import fit_knn, knn_from_doc, knn_proba, knn_to_doc
+from .learners.mlp import fit_mlp, mlp_from_doc, mlp_proba, mlp_to_doc
 from .learners.presets import (
     FOREST,
     GBT,
@@ -41,7 +33,9 @@ from .learners.presets import (
 from .metrics import accuracy, confusion
 
 __all__ = [
+    "FAMILIES",
     "ModelSpec",
+    "NOT_APPLICABLE",
     "TrainedModel",
     "registry_presets",
     "preset_by_id",
@@ -52,9 +46,9 @@ __all__ = [
     "tune_preset",
 ]
 
-_FAMILY_TAG = {FOREST: 101, GBT: 202, MLP: 303}
 _TUNE_TAG = 404
 _INNER_RATIO = 0.8
+NOT_APPLICABLE = "no continuous feature columns after preprocessing"
 
 
 @dataclass
@@ -70,57 +64,93 @@ class TrainedModel:
         return self.spec.preset_id
 
 
-def model_applicable(spec: ModelSpec, feature_schema: Sequence[ColumnSchema]) -> bool:
-    """knn needs at least one continuous column; everything else always fits."""
-    if spec.family != KNN:
-        return True
-    return any(c.kind == ColumnKind.CONTINUOUS for c in feature_schema)
+@dataclass(frozen=True)
+class Family:
+    """What differs between model families. `fit(spec, ds, X, y)` gets the
+    featurized matrix when `featurized`, else the raw column matrix."""
+
+    fit: Callable[[ModelSpec, TabularDataset, np.ndarray, np.ndarray], object]
+    proba: Callable[[object, np.ndarray], np.ndarray]
+    to_doc: Callable[[object], dict]
+    from_doc: Callable[[dict], object]
+    featurized: bool
+    needs_continuous: bool = False
 
 
 def _seed_key(spec: ModelSpec, tag: int) -> tuple:
     return (spec.seed, tag, PRESET_INDEX.get(spec.preset_id, 97))
 
 
+def _fit_gbt(spec: ModelSpec, ds: TabularDataset, X: np.ndarray, y: np.ndarray) -> object:
+    schema = ds.feature_schema
+    return fit_gbt(
+        X,
+        y,
+        spec.hyperparameters,
+        _seed_key(spec, 202),
+        categorical=np.array([c.kind != ColumnKind.CONTINUOUS for c in schema]),
+        cardinalities=tuple(len(c.categories) if c.categories else 0 for c in schema),
+    )
+
+
+# Learner functions are looked up at call time, so a wrapper installed on a
+# module attribute (as perfbench's tracer does) still sees every call.
+FAMILIES: Dict[str, Family] = {
+    FOREST: Family(
+        fit=lambda spec, ds, X, y: fit_forest(X, y, spec.hyperparameters, _seed_key(spec, 101)),
+        proba=lambda m, X: forest_proba(m, X),
+        to_doc=forest_to_doc,
+        from_doc=forest_from_doc,
+        featurized=False,
+    ),
+    GBT: Family(
+        fit=_fit_gbt,
+        proba=lambda m, X: gbt_proba(m, X),
+        to_doc=gbt_to_doc,
+        from_doc=gbt_from_doc,
+        featurized=False,
+    ),
+    KNN: Family(
+        fit=lambda spec, ds, X, y: fit_knn(X, y, spec.hyperparameters),
+        proba=lambda m, X: knn_proba(m, X),
+        to_doc=knn_to_doc,
+        from_doc=knn_from_doc,
+        featurized=True,
+        needs_continuous=True,
+    ),
+    MLP: Family(
+        fit=lambda spec, ds, X, y: fit_mlp(X, y, spec.hyperparameters, _seed_key(spec, 303)),
+        proba=lambda m, X: mlp_proba(m, X),
+        to_doc=mlp_to_doc,
+        from_doc=mlp_from_doc,
+        featurized=True,
+    ),
+}
+
+
+def model_applicable(spec: ModelSpec, feature_schema: Sequence[ColumnSchema]) -> bool:
+    """False only for a family that needs a continuous column and finds none."""
+    if spec.family not in FAMILIES:
+        raise LearnerError(f"unknown model family {spec.family!r}")
+    return not FAMILIES[spec.family].needs_continuous or any(
+        c.kind == ColumnKind.CONTINUOUS for c in feature_schema
+    )
+
+
 def train(spec: ModelSpec, ds: TabularDataset) -> TrainedModel:
     if not model_applicable(spec, ds.feature_schema):
-        raise LearnerError(
-            f"{spec.preset_id} is not applicable: no continuous feature columns"
-        )
+        raise LearnerError(f"{spec.preset_id} is not applicable: {NOT_APPLICABLE}")
     if ds.has_missing():
         raise LearnerError("training data still contains missing values; impute first")
     y = ds.target()
     if len(np.unique(y)) < 2:
         raise LearnerError("training data contains a single class")
 
-    fingerprint = schema_fingerprint(ds.schema)
-    hp = dict(spec.hyperparameters)
-    if spec.family == FOREST:
-        X = dataset_matrix(ds)
-        payload = fit_forest(X, y, hp, _seed_key(spec, _FAMILY_TAG[FOREST]))
-        return TrainedModel(spec, fingerprint, ds.schema, payload)
-    if spec.family == GBT:
-        X = dataset_matrix(ds)
-        kinds = column_kinds(ds)
-        categorical = np.array([k != ColumnKind.CONTINUOUS for k in kinds])
-        cards = column_cardinalities(ds)
-        payload = fit_gbt(
-            X,
-            y,
-            hp,
-            _seed_key(spec, _FAMILY_TAG[GBT]),
-            categorical=categorical,
-            cardinalities=cards,
-        )
-        return TrainedModel(spec, fingerprint, ds.schema, payload)
-    if spec.family == KNN:
-        fz = fit_featurizer(ds)
-        payload = fit_knn(featurize(ds, fz), y, hp)
-        return TrainedModel(spec, fingerprint, ds.schema, payload, featurizer=fz)
-    if spec.family == MLP:
-        fz = fit_featurizer(ds)
-        payload = fit_mlp(featurize(ds, fz), y, hp, _seed_key(spec, _FAMILY_TAG[MLP]))
-        return TrainedModel(spec, fingerprint, ds.schema, payload, featurizer=fz)
-    raise LearnerError(f"unknown model family {spec.family!r}")
+    family = FAMILIES[spec.family]
+    fz = fit_featurizer(ds) if family.featurized else None
+    X = dataset_matrix(ds) if fz is None else featurize(ds, fz)
+    payload = family.fit(spec, ds, X, y)
+    return TrainedModel(spec, schema_fingerprint(ds.schema), ds.schema, payload, featurizer=fz)
 
 
 def predict_proba(model: TrainedModel, ds: TabularDataset) -> np.ndarray:
@@ -130,20 +160,8 @@ def predict_proba(model: TrainedModel, ds: TabularDataset) -> np.ndarray:
         )
     if ds.has_missing():
         raise LearnerError("scoring data still contains missing values; impute first")
-    if model.featurizer is not None:
-        X = featurize(ds, model.featurizer)
-    else:
-        X = dataset_matrix(ds)
-    payload = model.payload
-    if isinstance(payload, ForestModel):
-        return forest_proba(payload, X)
-    if isinstance(payload, BoostModel):
-        return gbt_proba(payload, X)
-    if isinstance(payload, KnnModel):
-        return knn_proba(payload, X)
-    if isinstance(payload, MlpModel):
-        return mlp_proba(payload, X)
-    raise LearnerError(f"cannot predict with payload of type {type(payload).__name__}")
+    X = dataset_matrix(ds) if model.featurizer is None else featurize(ds, model.featurizer)
+    return FAMILIES[model.spec.family].proba(model.payload, X)
 
 
 def tune_preset(spec: ModelSpec, ds: TabularDataset, budget: int) -> ModelSpec:
@@ -152,7 +170,7 @@ def tune_preset(spec: ModelSpec, ds: TabularDataset, budget: int) -> ModelSpec:
     The default setting is always candidate zero; up to `budget` seeded grid
     draws compete with it and ties keep the earliest candidate.
     """
-    if budget <= 0:
+    if budget <= 0 or not model_applicable(spec, ds.feature_schema):
         return spec
     rng = np.random.default_rng(np.random.SeedSequence(_seed_key(spec, _TUNE_TAG)))
     candidates = candidate_hyperparameters(spec, budget, rng)

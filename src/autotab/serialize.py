@@ -16,14 +16,9 @@ import numpy as np
 
 from .data import ColumnKind, ColumnSchema, schema_fingerprint
 from .ensemble import EnsembleModel
-from .learners.boosting import BoostModel
 from .learners.features import Featurizer
-from .learners.forest import ForestModel
-from .learners.knn import KnnModel
-from .learners.mlp import MlpModel
 from .learners.presets import ModelSpec
-from .learners.trees import TreeArrays
-from .model import TrainedModel
+from .model import FAMILIES, TrainedModel
 from .preprocess import (
     BinningSpec,
     CleaningReport,
@@ -58,33 +53,7 @@ def _schema_from_doc(doc: Sequence) -> Tuple[ColumnSchema, ...]:
     return tuple(out)
 
 
-# -- family payloads -------------------------------------------------------
-
-
-def _trees_to_doc(trees: Sequence[TreeArrays]) -> List[dict]:
-    return [
-        {
-            "feature": t.feature.tolist(),
-            "threshold": t.threshold.tolist(),
-            "left": t.left.tolist(),
-            "right": t.right.tolist(),
-            "value": t.value.tolist(),
-        }
-        for t in trees
-    ]
-
-
-def _trees_from_doc(doc: Sequence[dict]) -> List[TreeArrays]:
-    return [
-        TreeArrays(
-            feature=np.asarray(t["feature"], dtype=np.int32),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int32),
-            right=np.asarray(t["right"], dtype=np.int32),
-            value=np.asarray(t["value"], dtype=np.float64),
-        )
-        for t in doc
-    ]
+# -- featurizer ------------------------------------------------------------
 
 
 def _featurizer_to_doc(fz: Optional[Featurizer]) -> Optional[dict]:
@@ -109,71 +78,14 @@ def _featurizer_from_doc(doc: Optional[dict]) -> Optional[Featurizer]:
     )
 
 
-def _payload_to_doc(payload: object) -> dict:
-    if isinstance(payload, ForestModel):
-        return {
-            "type": "forest",
-            "n_features": payload.n_features,
-            "trees": _trees_to_doc(payload.trees),
-        }
-    if isinstance(payload, BoostModel):
-        return {
-            "type": "gbt",
-            "base_score": payload.base_score,
-            "learning_rate": payload.learning_rate,
-            "loss_trace": list(payload.loss_trace),
-            "n_features": payload.n_features,
-            "ts_tables": {str(f): t.tolist() for f, t in payload.ts_tables.items()},
-            "trees": _trees_to_doc(payload.trees),
-        }
-    if isinstance(payload, KnnModel):
-        return {
-            "type": "knn",
-            "k": payload.k,
-            "weighted": payload.weighted,
-            "X": payload.X.tolist(),
-            "y": payload.y.tolist(),
-        }
-    if isinstance(payload, MlpModel):
-        return {
-            "type": "mlp",
-            "hidden": list(payload.hidden),
-            "weights": [w.tolist() for w in payload.weights],
-            "biases": [b.tolist() for b in payload.biases],
-        }
-    raise SerializeError(f"cannot serialize payload of type {type(payload).__name__}")
-
-
-def _payload_from_doc(doc: dict) -> object:
-    kind = doc.get("type")
-    if kind == "forest":
-        return ForestModel(trees=_trees_from_doc(doc["trees"]), n_features=int(doc["n_features"]))
-    if kind == "gbt":
-        return BoostModel(
-            trees=_trees_from_doc(doc["trees"]),
-            base_score=float(doc["base_score"]),
-            learning_rate=float(doc["learning_rate"]),
-            loss_trace=[float(x) for x in doc["loss_trace"]],
-            n_features=int(doc["n_features"]),
-            ts_tables={int(f): np.asarray(t, dtype=np.float64) for f, t in doc["ts_tables"].items()},
-        )
-    if kind == "knn":
-        return KnnModel(
-            X=np.asarray(doc["X"], dtype=np.float64),
-            y=np.asarray(doc["y"], dtype=np.float64),
-            k=int(doc["k"]),
-            weighted=bool(doc["weighted"]),
-        )
-    if kind == "mlp":
-        return MlpModel(
-            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-            hidden=tuple(int(h) for h in doc["hidden"]),
-        )
-    raise SerializeError(f"unknown model payload type {kind!r}")
-
-
 # -- model documents -------------------------------------------------------
+
+
+def _payload_from_doc(doc: dict, family: str) -> object:
+    kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in FAMILIES or kind != family:
+        raise SerializeError(f"unknown model payload type {kind!r} for family {family!r}")
+    return FAMILIES[kind].from_doc(doc)
 
 
 def _check_header(doc: dict, expected_format: str) -> None:
@@ -201,7 +113,7 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
         "fingerprint": model.fingerprint,
         "schema": _schema_to_doc(model.schema),
         "featurizer": _featurizer_to_doc(model.featurizer),
-        "payload": _payload_to_doc(model.payload),
+        "payload": {"type": model.spec.family, **FAMILIES[model.spec.family].to_doc(model.payload)},
     }
     return _write_doc(doc, path)
 
@@ -263,7 +175,7 @@ def load_model(path: Union[str, Path]) -> Union[TrainedModel, LoadedEnsemble]:
             spec=spec,
             fingerprint=doc["fingerprint"],
             schema=_schema_from_doc(doc["schema"]),
-            payload=_payload_from_doc(doc["payload"]),
+            payload=_payload_from_doc(doc["payload"], spec.family),
             featurizer=_featurizer_from_doc(doc.get("featurizer")),
         )
     if kind == "ensemble":

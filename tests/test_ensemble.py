@@ -142,7 +142,7 @@ class TestOofPredictions:
         folds = kfold_assign(12, ds.target(), k=2, repeats=1, seed=0)
         oof = oof_predictions(specs, ds, folds)
         assert oof.preset_ids == ("gbt-default",)
-        assert oof.skipped["knn-uniform"] == "no continuous feature columns"
+        assert oof.skipped["knn-uniform"] == "no continuous feature columns after preprocessing"
 
     def test_training_failure_recorded_not_fatal(self):
         ds = balanced_dataset(10)

@@ -66,6 +66,15 @@ class TestModelRoundTrip:
         with pytest.raises(SerializeError):
             load_model(path)
 
+    def test_payload_of_another_family_rejected(self, small_ds, tmp_path):
+        spec = preset_by_id("knn-uniform").with_hyperparameters({"k": 3, "weighted": False})
+        path = save_model(train(spec, small_ds), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["payload"]["type"] = "forest"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializeError, match="forest"):
+            load_model(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format": "something-else", "version": 1}))
