@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -194,10 +194,21 @@ class TabularDataset:
         return True
 
 
+def schema_to_doc(schema: Sequence[ColumnSchema]) -> List[list]:
+    """One `[name, kind, categories]` entry per column, as documents store it."""
+    return [[c.name, c.kind.value, list(c.categories) if c.categories else None] for c in schema]
+
+
+def schema_from_doc(doc: Sequence) -> Tuple[ColumnSchema, ...]:
+    return tuple(
+        ColumnSchema(name, ColumnKind(kind), tuple(categories) if categories else None)
+        for name, kind, categories in doc
+    )
+
+
 def schema_fingerprint(schema: Sequence[ColumnSchema]) -> str:
     """Stable hash of a schema; models refuse to score data fingerprinted differently."""
-    payload = [[c.name, c.kind.value, list(c.categories) if c.categories else None] for c in schema]
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(schema_to_doc(schema)).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

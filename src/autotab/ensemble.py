@@ -72,6 +72,13 @@ class OofMatrix:
         except ValueError:
             raise EnsembleError(f"no out-of-fold column for {preset_id!r}") from None
 
+    def accuracies(self) -> Dict[str, float]:
+        """0.5-thresholded accuracy of each out-of-fold column, by preset id."""
+        return {
+            pid: accuracy(confusion(self.labels, self.probas[:, i]))
+            for i, pid in enumerate(self.preset_ids)
+        }
+
 
 @dataclass(frozen=True)
 class EnsembleModel:
@@ -163,10 +170,7 @@ def greedy_select(
     """
     if max_rounds < 1:
         raise EnsembleError(f"max_rounds must be positive, got {max_rounds}")
-    singles = {
-        pid: accuracy(confusion(oof.labels, oof.probas[:, i]))
-        for i, pid in enumerate(oof.preset_ids)
-    }
+    singles = oof.accuracies()
     if threshold_k is None:
         threshold_k = default_threshold(list(singles.values()))
     candidates = [pid for pid in oof.preset_ids if singles[pid] >= threshold_k]

@@ -215,10 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     oof = phase("stack", _oof)
     skips = oof.skipped
-    val_acc = {
-        pid: accuracy(confusion(oof.labels, oof.probas[:, i]))
-        for i, pid in enumerate(oof.preset_ids)
-    }
+    val_acc = oof.accuracies()
 
     ens = phase("ensemble", lambda: greedy_select(oof, None, DEFAULT_MAX_ROUNDS))
     ens_val = accuracy(

@@ -152,7 +152,6 @@ def fit_gbt(
         channels = (g, p * (1.0 - p)) if mode == "newton" else (g,)
         tree, leaf_of_row = grow_tree(
             codes,
-            codes.codes,
             codes.flat,
             channels,
             mode=mode,

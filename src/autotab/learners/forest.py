@@ -57,7 +57,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: dict, seed_key: Tuple[int, 
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n, dtype=np.int64)
         tree, _ = grow_tree(
             codes,
-            codes.codes[rows],
             codes.flat[rows],
             (yf[rows],),
             mode=criterion,

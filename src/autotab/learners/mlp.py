@@ -11,7 +11,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .boosting import sigmoid
+from .boosting import logistic_loss, sigmoid
 from .features import LearnerError
 
 
@@ -71,7 +71,7 @@ def mlp_loss_gradient(
     n = len(X)
     acts, pre = _forward(weights, biases, X)
     raw = acts[-1].ravel()
-    loss = float(np.mean(np.logaddexp(0.0, raw) - y * raw))
+    loss = logistic_loss(raw, y)
     delta = ((sigmoid(raw) - y) / n)[:, None]
     grad_w: List[np.ndarray] = [None] * len(weights)
     grad_b: List[np.ndarray] = [None] * len(weights)

@@ -2,12 +2,14 @@
 
 Columns are encoded once per fit into integer buckets: every distinct value
 for forests (exact split search expressed over rank codes) or up to 32
-quantile buckets for boosting. A tree grows one level at a time; a single
+quantile buckets for boosting. Each bucket code is offset by its feature's
+start in one flat bucket layout. A tree grows one level at a time; a single
 offset-flattened bincount per statistic yields every (node, feature, cut)
 histogram of the level, so split search is a handful of vectorized scans
-regardless of node count. Stored thresholds are real data values (or value
-boundaries), and routing uses `x <= threshold`, so predictions depend only on
-value order.
+regardless of node count. Nodes are written level by level as whole arrays,
+and rows are routed to children on the same offset codes. Stored thresholds
+are real data values (or value boundaries), and prediction routes on
+`x <= threshold`, so predictions depend only on value order.
 """
 from __future__ import annotations
 
@@ -25,20 +27,14 @@ _BIG = np.iinfo(np.int64).max
 class ColumnCodes:
     """Bucketized view of a feature matrix plus the candidate-cut layout."""
 
-    codes: np.ndarray  # (n, F) int32 bucket index per cell
-    flat: np.ndarray  # (n, F) int64: codes + per-feature bucket offsets
+    flat: np.ndarray  # (n, F) int64: bucket index + per-feature bucket offset
     offsets: np.ndarray  # (F+1,) int64 cumulative bucket counts
     nbuckets: np.ndarray  # (F,) int64
     cut_cols: np.ndarray  # (C,) int64 bucket-layout column of each candidate cut
     cut_feature: np.ndarray  # (C,) int64
-    cut_index: np.ndarray  # (C,) int64 cut position within its feature
     cut_threshold: np.ndarray  # (C,) float64 split value (route left iff x <= t)
     coffsets: np.ndarray  # (F+1,) int64 cumulative cut counts
     pos_in_segment: np.ndarray  # (total_buckets,) int64
-
-    @property
-    def n_features(self) -> int:
-        return len(self.nbuckets)
 
     @property
     def total_buckets(self) -> int:
@@ -49,27 +45,24 @@ def _assemble(X: np.ndarray, boundaries: List[np.ndarray]) -> ColumnCodes:
     F = X.shape[1]
     nbuckets = np.array([len(b) + 1 for b in boundaries], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(nbuckets)])
-    codes = np.empty(X.shape, dtype=np.int32)
+    flat = np.empty(X.shape, dtype=np.int64)
     for f in range(F):
-        codes[:, f] = np.searchsorted(boundaries[f], X[:, f], side="left")
-    flat = codes.astype(np.int64) + offsets[:-1][None, :]
+        flat[:, f] = offsets[f] + np.searchsorted(boundaries[f], X[:, f], side="left")
     ncuts = nbuckets - 1
     coffsets = np.concatenate([[0], np.cumsum(ncuts)])
     cut_feature = np.repeat(np.arange(F, dtype=np.int64), ncuts)
-    cut_index = np.concatenate([np.arange(c, dtype=np.int64) for c in ncuts]) if len(ncuts) else np.zeros(0, np.int64)
-    cut_cols = offsets[:-1][cut_feature] + cut_index
+    # feature f has one more bucket than cuts, so its buckets start f columns after its cuts
+    cut_cols = np.arange(len(cut_feature), dtype=np.int64) + cut_feature
     cut_threshold = (
         np.concatenate([b for b in boundaries]) if any(len(b) for b in boundaries) else np.zeros(0)
     )
     pos = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(offsets[:-1], nbuckets)
     return ColumnCodes(
-        codes=codes,
         flat=flat,
         offsets=offsets,
         nbuckets=nbuckets,
         cut_cols=cut_cols,
         cut_feature=cut_feature,
-        cut_index=cut_index,
         cut_threshold=cut_threshold.astype(np.float64),
         coffsets=coffsets,
         pos_in_segment=pos,
@@ -137,32 +130,18 @@ def _xlogx(c: np.ndarray) -> np.ndarray:
     return out * c
 
 
-class _Builder:
-    def __init__(self):
-        self.feature: List[int] = []
-        self.threshold: List[float] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.value: List[float] = []
-
-    def new_nodes(self, count: int) -> np.ndarray:
-        start = len(self.feature)
-        self.feature.extend([-1] * count)
-        self.threshold.extend([0.0] * count)
-        self.left.extend([-1] * count)
-        self.right.extend([-1] * count)
-        self.value.extend([0.0] * count)
-        return np.arange(start, start + count, dtype=np.int64)
-
-    def finish(self) -> TreeArrays:
-        return TreeArrays(
-            **{name: np.asarray(getattr(self, name), dtype=dt) for name, dt in _TREE_DTYPES.items()}
-        )
+def _add_leaves(tree: TreeArrays, count: int) -> TreeArrays:
+    """`tree` with `count` unlinked leaves appended: feature/left/right -1, threshold/value 0."""
+    return TreeArrays(
+        **{
+            name: np.concatenate([getattr(tree, name), np.full(count, -1 if dt is np.int32 else 0, dt)])
+            for name, dt in _TREE_DTYPES.items()
+        }
+    )
 
 
 def grow_tree(
     codes: ColumnCodes,
-    row_codes: np.ndarray,  # (k, F) int32 codes of the fit rows
     row_flat: np.ndarray,  # (k, F) int64 offset codes of the fit rows
     channels: Tuple[np.ndarray, ...],  # per-row stat arrays (y, or g, or g and h)
     mode: str,  # gini | entropy | sse | newton
@@ -176,29 +155,35 @@ def grow_tree(
     eps: float = 1e-12,
 ) -> Tuple[TreeArrays, np.ndarray]:
     """Grow one tree; returns its arrays and the leaf value assigned to each fit row."""
-    k, F = row_codes.shape
+    k, F = row_flat.shape
     if k == 0:
         raise LearnerError("cannot grow a tree on zero rows")
     total = codes.total_buckets
-    builder = _Builder()
+    tree = _add_leaves(TreeArrays(**{name: np.zeros(0, dt) for name, dt in _TREE_DTYPES.items()}), 1)
     leaf_of_row = np.zeros(k, dtype=np.float64)
 
-    def leaf_values(count, sums):
-        if mode == "newton":
-            return sums[0] / (sums[1] + lam)
-        count = count.astype(np.float64)
-        return np.where(count > 0, sums[0] / np.maximum(count, 1.0), 0.0)
-
-    # active level state
-    node_ids = builder.new_nodes(1)
+    # active level state: one slot per open node
+    node_ids = np.zeros(1, dtype=np.int64)
     counts = np.array([k], dtype=np.int64)
     sums = np.stack([np.array([ch.sum()]) for ch in channels])  # (n_ch, A)
     rows_live = np.arange(k, dtype=np.int64)
     slot_live = np.zeros(k, dtype=np.int64)
 
+    def make_leaves(leaf: np.ndarray) -> np.ndarray:
+        """Write leaf values for the `leaf` slots and their rows; return the live-row mask."""
+        if mode == "newton":
+            vals = sums[0] / (sums[1] + lam)
+        else:
+            vals = np.where(counts > 0, sums[0] / np.maximum(counts, 1.0), 0.0)
+        tree.value[node_ids[leaf]] = vals[leaf]
+        row_leaf = leaf[slot_live]
+        leaf_of_row[rows_live[row_leaf]] = vals[slot_live[row_leaf]]
+        return ~row_leaf
+
     depth = 0
-    while len(node_ids) > 0:
-        # finalize nodes that cannot or must not split
+    while True:
+        # finalize nodes that cannot or must not split; this comes before the
+        # split search, whose random draws are sized by the open slots
         if oblivious:
             done = np.full(len(node_ids), depth >= max_depth)
         else:
@@ -206,22 +191,10 @@ def grow_tree(
             if mode in ("gini", "entropy"):
                 done |= (sums[0] == 0) | (sums[0] == counts)
         if done.any():
-            vals = leaf_values(counts[done], sums[:, done])
-            for nid, v in zip(node_ids[done], vals):
-                builder.value[nid] = float(v)
-            # drop their rows
-            done_slots = np.flatnonzero(done)
-            row_done = np.isin(slot_live, done_slots)
-            if row_done.any():
-                slot_to_val = np.zeros(len(node_ids))
-                slot_to_val[done_slots] = vals
-                leaf_of_row[rows_live[row_done]] = slot_to_val[slot_live[row_done]]
-                rows_live = rows_live[~row_done]
-                slot_live = slot_live[~row_done]
+            live = make_leaves(done)
             keep = ~done
-            remap = np.cumsum(keep) - 1
+            rows_live, slot_live = rows_live[live], (np.cumsum(keep) - 1)[slot_live[live]]
             node_ids, counts, sums = node_ids[keep], counts[keep], sums[:, keep]
-            slot_live = remap[slot_live]
         A = len(node_ids)
         if A == 0:
             break
@@ -319,68 +292,36 @@ def grow_tree(
             best_col = np.argmax(masked, axis=1)
             split = np.take_along_axis(masked, best_col[:, None], axis=1).ravel() > eps
 
-        n_split = int(split.sum())
-        if n_split == 0:
-            vals = leaf_values(counts, sums)
-            for nid, v in zip(node_ids, vals):
-                builder.value[nid] = float(v)
-            leaf_of_row[rows_live] = vals[slot_live]
-            break
-
-        # finalize the non-splitting remainder
-        stay = ~split
-        if stay.any():
-            vals = leaf_values(counts[stay], sums[:, stay])
-            for nid, v in zip(node_ids[stay], vals):
-                builder.value[nid] = float(v)
-            stay_slots = np.flatnonzero(stay)
-            row_stay = np.isin(slot_live, stay_slots)
-            if row_stay.any():
-                slot_to_val = np.zeros(A)
-                slot_to_val[stay_slots] = vals
-                leaf_of_row[rows_live[row_stay]] = slot_to_val[slot_live[row_stay]]
-                rows_live = rows_live[~row_stay]
-                slot_live = slot_live[~row_stay]
+        if not split.all():
+            live = make_leaves(~split)
+            if not split.any():
+                break
+            rows_live, slot_live = rows_live[live], slot_live[live]
 
         split_slots = np.flatnonzero(split)
         chosen_col = best_col[split_slots]
-        child_ids = builder.new_nodes(2 * n_split)
         feats = codes.cut_feature[chosen_col]
-        cuts = codes.cut_index[chosen_col]
-        thr = codes.cut_threshold[chosen_col]
-        for j, s in enumerate(split_slots):
-            nid = int(node_ids[s])
-            builder.feature[nid] = int(feats[j])
-            builder.threshold[nid] = float(thr[j])
-            builder.left[nid] = int(child_ids[2 * j])
-            builder.right[nid] = int(child_ids[2 * j + 1])
+        parents = node_ids[split_slots]
+        node_ids = np.arange(tree.n_nodes, tree.n_nodes + 2 * len(split_slots))
+        tree = _add_leaves(tree, len(node_ids))
+        tree.feature[parents] = feats
+        tree.threshold[parents] = codes.cut_threshold[chosen_col]
+        tree.left[parents] = node_ids[0::2]
+        tree.right[parents] = node_ids[1::2]
 
-        # children stats come straight from the scan
+        # children stats come straight from the scan, left and right interleaved
         lcnt = left_cnt[split_slots, chosen_col]
-        rcnt = counts[split_slots] - lcnt
-        new_counts = np.empty(2 * n_split, dtype=np.int64)
-        new_counts[0::2], new_counts[1::2] = lcnt, rcnt
-        new_sums = np.empty((len(channels), 2 * n_split))
-        for i, lch in enumerate(left_ch):
-            ls = lch[split_slots, chosen_col]
-            new_sums[i, 0::2] = ls
-            new_sums[i, 1::2] = sums[i][split_slots] - ls
+        counts = np.column_stack([lcnt, counts[split_slots] - lcnt]).ravel()
+        lsum = np.stack([lch[split_slots, chosen_col] for lch in left_ch])
+        sums = np.stack([lsum, sums[:, split_slots] - lsum], axis=2).reshape(len(channels), -1)
 
-        # route the remaining rows
-        slot_pos = -np.ones(A, dtype=np.int64)
-        slot_pos[split_slots] = np.arange(n_split)
-        srow = slot_pos[slot_live]
-        f_row = feats[srow]
-        cut_row = cuts[srow]
-        go_left = row_codes[rows_live, f_row] <= cut_row
+        # route the remaining rows: an offset code at or below the cut's column goes left
+        srow = (np.cumsum(split) - 1)[slot_live]
+        go_left = row_flat[rows_live, feats[srow]] <= codes.cut_cols[chosen_col][srow]
         slot_live = 2 * srow + np.where(go_left, 0, 1)
-
-        node_ids = child_ids
-        counts = new_counts
-        sums = new_sums
         depth += 1
 
-    return builder.finish(), leaf_of_row
+    return tree, leaf_of_row
 
 
 def predict_leaf_matrix(trees: Sequence[TreeArrays], X: np.ndarray) -> np.ndarray:

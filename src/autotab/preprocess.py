@@ -215,8 +215,11 @@ def apply_imputation(ds: TabularDataset, fills: Dict[str, Union[float, str]]) ->
 
 # -- S2: binning + one-hot -------------------------------------------------------
 
+# equal-width bins per continuous column
+S2_BINS = 5
 
-def fit_binning(train: TabularDataset, column: str, n_bins: int = 5) -> BinningSpec:
+
+def fit_binning(train: TabularDataset, column: str) -> BinningSpec:
     """Equal-width edges over the training [min, max]."""
     col = train.column_schema(column)
     if col.kind != ColumnKind.CONTINUOUS:
@@ -229,7 +232,7 @@ def fit_binning(train: TabularDataset, column: str, n_bins: int = 5) -> BinningS
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise PreprocessError(f"column {column} is constant ({lo}); equal-width bins undefined")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, S2_BINS + 1)
     return BinningSpec(column=column, edges=tuple(float(e) for e in edges))
 
 
@@ -359,11 +362,10 @@ def scenario_preprocess(
     scenario: ScenarioId,
     seed: int,
     test_ratio: float = 0.2,
-    stratified: bool = True,
 ) -> Tuple[TabularDataset, TabularDataset, PreprocessArtifacts]:
     """Clean, split, then fit the scenario transform on the training rows only."""
     cleaned, report = clean(ds)
-    split = split_train_test(cleaned, 1.0 - test_ratio, seed, stratified=stratified)
+    split = split_train_test(cleaned, 1.0 - test_ratio, seed)
     train = cleaned.take(split.train_rows)
     test = cleaned.take(split.test_rows)
 
@@ -374,7 +376,7 @@ def scenario_preprocess(
         binnings = tuple(fit_binning(train, name) for name in train.continuous_names())
         binned = set(train.continuous_names())
         binned_schema = tuple(
-            ColumnSchema(c.name, ColumnKind.CATEGORICAL, bin_tokens(5)) if c.name in binned else c
+            ColumnSchema(c.name, ColumnKind.CATEGORICAL, bin_tokens(S2_BINS)) if c.name in binned else c
             for c in train.schema
         )
         encoding = build_encoding(binned_schema)

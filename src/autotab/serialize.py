@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import ColumnKind, ColumnSchema, schema_fingerprint
+from .data import ColumnSchema, schema_fingerprint, schema_from_doc, schema_to_doc
 from .ensemble import EnsembleModel
 from .learners.features import Featurizer
 from .learners.presets import ModelSpec
@@ -34,23 +34,6 @@ FORMAT_VERSION = 1
 
 class SerializeError(ValueError):
     pass
-
-
-# -- schema ----------------------------------------------------------------
-
-
-def _schema_to_doc(schema: Sequence[ColumnSchema]) -> List[list]:
-    return [
-        [c.name, c.kind.value, list(c.categories) if c.categories else None] for c in schema
-    ]
-
-
-def _schema_from_doc(doc: Sequence) -> Tuple[ColumnSchema, ...]:
-    out = []
-    for entry in doc:
-        name, kind, categories = entry
-        out.append(ColumnSchema(name, ColumnKind(kind), tuple(categories) if categories else None))
-    return tuple(out)
 
 
 # -- featurizer ------------------------------------------------------------
@@ -111,7 +94,7 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
             "seed": model.spec.seed,
         },
         "fingerprint": model.fingerprint,
-        "schema": _schema_to_doc(model.schema),
+        "schema": schema_to_doc(model.schema),
         "featurizer": _featurizer_to_doc(model.featurizer),
         "payload": {"type": model.spec.family, **FAMILIES[model.spec.family].to_doc(model.payload)},
     }
@@ -136,7 +119,7 @@ def save_ensemble(
         "members": [[pid, w] for pid, w in ens.members],
         "member_files": {pid: member_files[pid] for pid, _ in ens.members},
         "fingerprint": schema_fingerprint(schema),
-        "schema": _schema_to_doc(schema),
+        "schema": schema_to_doc(schema),
     }
     return _write_doc(doc, path)
 
@@ -174,7 +157,7 @@ def load_model(path: Union[str, Path]) -> Union[TrainedModel, LoadedEnsemble]:
         return TrainedModel(
             spec=spec,
             fingerprint=doc["fingerprint"],
-            schema=_schema_from_doc(doc["schema"]),
+            schema=schema_from_doc(doc["schema"]),
             payload=_payload_from_doc(doc["payload"], spec.family),
             featurizer=_featurizer_from_doc(doc.get("featurizer")),
         )
@@ -199,7 +182,7 @@ def load_model(path: Union[str, Path]) -> Union[TrainedModel, LoadedEnsemble]:
         return LoadedEnsemble(
             ensemble=ens,
             members=members,
-            schema=_schema_from_doc(doc["schema"]),
+            schema=schema_from_doc(doc["schema"]),
             fingerprint=doc["fingerprint"],
         )
     raise SerializeError(f"unknown model document kind {kind!r}")
@@ -216,7 +199,7 @@ def save_artifacts(
         "format": ARTIFACTS_FORMAT,
         "version": FORMAT_VERSION,
         "scenario": artifacts.scenario.value,
-        "schema": _schema_to_doc(schema),
+        "schema": schema_to_doc(schema),
         "cleaning": {
             "rows_before": cleaning.rows_before,
             "rows_after": cleaning.rows_after,
@@ -282,7 +265,7 @@ def load_artifacts(path: Union[str, Path]) -> Tuple[PreprocessArtifacts, Tuple[C
         norm=norm,
         imputation=imputation,
     )
-    return artifacts, _schema_from_doc(doc["schema"])
+    return artifacts, schema_from_doc(doc["schema"])
 
 
 # -- plumbing ---------------------------------------------------------------

@@ -1,4 +1,7 @@
 """Base learner tests: featurization, tree growth, forests, boosting, knn, mlp."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from autotab.learners.trees import (
     grow_tree,
     predict_leaf_matrix,
     quantile_codes,
+    trees_to_doc,
 )
 from autotab.model import (
     model_applicable,
@@ -124,9 +128,7 @@ class TestTreeGrowth:
             if len(np.unique(y)) < 2:
                 continue
             codes = exact_codes(X)
-            tree, _ = grow_tree(
-                codes, codes.codes, codes.flat, (y,), mode=mode, max_depth=1, min_leaf=1
-            )
+            tree, _ = grow_tree(codes, codes.flat, (y,), mode=mode, max_depth=1, min_leaf=1)
             oracle = _bruteforce_split(X, y, impurity)
             if tree.feature[0] == -1:
                 parent = impurity(y)
@@ -142,9 +144,7 @@ class TestTreeGrowth:
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, 50).astype(float)
         codes = exact_codes(X)
-        tree, leaf_of_row = grow_tree(
-            codes, codes.codes, codes.flat, (y,), mode="gini", max_depth=4, min_leaf=2
-        )
+        tree, leaf_of_row = grow_tree(codes, codes.flat, (y,), mode="gini", max_depth=4, min_leaf=2)
         assert np.array_equal(predict_leaf_matrix([tree], X)[:, 0], leaf_of_row)
 
     def test_min_leaf_respected(self):
@@ -152,9 +152,7 @@ class TestTreeGrowth:
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(float)
         codes = exact_codes(X)
-        tree, _ = grow_tree(
-            codes, codes.codes, codes.flat, (y,), mode="gini", max_depth=10, min_leaf=7
-        )
+        tree, _ = grow_tree(codes, codes.flat, (y,), mode="gini", max_depth=10, min_leaf=7)
         _, leaf_sizes = np.unique(_leaf_ids(tree, X), return_counts=True)
         assert leaf_sizes.min() >= 7
 
@@ -172,9 +170,7 @@ class TestTreeGrowth:
         codes = exact_codes(X)
         trees = []
         for d in (1, 3, 6):
-            t, _ = grow_tree(
-                codes, codes.codes, codes.flat, (y,), mode="gini", max_depth=d, min_leaf=1
-            )
+            t, _ = grow_tree(codes, codes.flat, (y,), mode="gini", max_depth=d, min_leaf=1)
             trees.append(t)
         got = predict_leaf_matrix(trees, X)
         for ti, t in enumerate(trees):
@@ -183,6 +179,64 @@ class TestTreeGrowth:
                 while t.feature[node] >= 0:
                     node = t.left[node] if X[i, t.feature[node]] <= t.threshold[node] else t.right[node]
                 assert got[i, ti] == t.value[node]
+
+
+# (mode, forest, random_cuts, oblivious) of each tree configuration a preset reaches;
+# forests sample sqrt(F) features per node and bootstrap unless they cut at random
+TREE_CONFIGS = {
+    "rf-gini": ("gini", True, False, False),
+    "rf-entropy": ("entropy", True, False, False),
+    "xt-gini": ("gini", True, True, False),
+    "xt-entropy": ("entropy", True, True, False),
+    "gbt-default": ("sse", False, False, False),
+    "gbt-xt": ("sse", False, True, False),
+    "gbt-newton": ("newton", False, False, False),
+    "gbt-ordered": ("newton", False, False, True),
+}
+# (max_depth, min_leaf): the preset default, then values from the tuning grid
+FOREST_SETTINGS = ((10_000, 1), (8, 2), (12, 4))
+GBT_SETTINGS = ((6, 5), (4, 20), (10, 10))
+# sha256 of every grown tree document, its leaf_of_row and the generator's next draw
+PINNED_TREE_DIGESTS = {
+    "gbt-default": "6f72c5a8fc7ea6f6dc733e1e05af41618dc69b3753f54f66c14506e8ad6944f7",
+    "gbt-newton": "f18ca37de8ee8447dc343f6ecaea8e7fef929c41bd5522a3bcffffce615b30e0",
+    "gbt-ordered": "55b7a7588853eaf24868ad24a040221f8d63b382010c77e74823517369344941",
+    "gbt-xt": "d1c0e31893e346868298683b81d0ff2f01dd6c2adc728e8c4c6c4acfc217f9d7",
+    "rf-entropy": "e48f0bedb597966536c6849af1092d30398653b5dcf2e9e1b7e106e7d807a347",
+    "rf-gini": "8557f88ea5a60706c321d5d2f8cdfe59e28e53e8319f77b4dea9b787f9bf3dfc",
+    "xt-entropy": "cd791ea0c8d685e20e6149335ba841431ec878b7ec4f950b0f148e7f9b82b734",
+    "xt-gini": "88b732d512f0d606a05ba94cc47543ab3b5e9669dd0a8e45a58eef94ea2b1e78",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CONFIGS))
+def test_tree_growth_matches_pinned_digest(name):
+    mode, forest, random_cuts, oblivious = TREE_CONFIGS[name]
+    data = np.random.default_rng(2024)
+    n = 200  # at 160 rows xt-gini and xt-entropy grow the same trees
+    X = np.column_stack(
+        [data.normal(size=n), data.normal(size=n), data.integers(0, 6, n), data.integers(0, 2, (n, 2))]
+    ).astype(float)
+    y = ((X[:, 0] + 0.5 * X[:, 2] + data.normal(size=n)) > 1.0).astype(float)
+    p = 0.2 + 0.6 * data.random(n)
+    codes = exact_codes(X) if forest else quantile_codes(X, 32)
+    rng = np.random.default_rng(5)
+    grown = []
+    for max_depth, min_leaf in FOREST_SETTINGS if forest else GBT_SETTINGS:
+        for _ in range(2):
+            rows = rng.integers(0, n, size=n) if forest and not random_cuts else np.arange(n)
+            if forest:
+                channels = (y[rows],)
+            else:
+                channels = (y - p, p * (1.0 - p)) if mode == "newton" else (y - p,)
+            tree, leaf_of_row = grow_tree(
+                codes, codes.flat[rows], channels, mode=mode, max_depth=max_depth, min_leaf=min_leaf,
+                rng=rng, n_sample_features=sqrt_feature_count(X.shape[1]) if forest else None,
+                random_cuts=random_cuts, oblivious=oblivious,
+            )
+            grown.append([trees_to_doc([tree]), leaf_of_row.tolist()])
+    grown.append(rng.random())
+    assert hashlib.sha256(json.dumps(grown).encode()).hexdigest() == PINNED_TREE_DIGESTS[name]
 
 
 def _leaf_ids(t, X):
