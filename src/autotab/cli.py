@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .data import load_csv, heart_schema, write_csv
+from .data import load_csv, heart_schema
 from .ensemble import DEFAULT_FOLDS, DEFAULT_REPEATS, ensemble_predict
 from .harness import (
     DEFAULT_SEED,
@@ -15,12 +15,14 @@ from .harness import (
     ENSEMBLE_NAME,
     ExperimentConfig,
     HarnessError,
+    _fmt,
     run_experiment,
+    write_split,
 )
 from .metrics import report
 from .model import TrainedModel, predict_proba
 from .preprocess import ScenarioId, scenario_preprocess, transform_with_artifacts
-from .serialize import load_artifacts, load_model, save_artifacts
+from .serialize import load_artifacts, load_model
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,9 +88,7 @@ def _cmd_prep(args) -> int:
     train_ds, test_ds, artifacts = scenario_preprocess(
         ds, scenario, args.seed, test_ratio=args.test_ratio
     )
-    save_artifacts(artifacts, ds.schema, out_dir / "artifacts.json")
-    write_csv(train_ds, out_dir / "train.csv")
-    write_csv(test_ds, out_dir / "test.csv")
+    write_split(out_dir, artifacts, ds.schema, train_ds, test_ds)
     c = artifacts.cleaning
     print(f"scenario {scenario.value}: {c.rows_before} rows in, {c.rows_after} after cleaning")
     print(f"  duplicates removed: {c.duplicates_removed}")
@@ -117,13 +117,9 @@ def _cmd_score(args) -> int:
         probas = ensemble_predict(loaded.ensemble, base)
         name = ENSEMBLE_NAME
     rep = report(ds.target(), probas)
-    undef = "undefined"
     print(f"model: {name}  rows: {ds.row_count}")
-    print(f"accuracy:  {rep.accuracy:.4f}")
-    print(f"roc_auc:   {rep.roc_auc:.4f}")
-    print(f"precision: {rep.precision:.4f}" if rep.precision is not None else f"precision: {undef}")
-    print(f"recall:    {rep.recall:.4f}" if rep.recall is not None else f"recall:    {undef}")
-    print(f"f1:        {rep.f1:.4f}" if rep.f1 is not None else f"f1:        {undef}")
+    for metric in ("accuracy", "roc_auc", "precision", "recall", "f1"):
+        print(f"{metric + ':':<11}{_fmt(getattr(rep, metric))}")
     if args.out:
         lines = ["row,proba,predicted"]
         for i, p in enumerate(probas):

@@ -1,4 +1,4 @@
-"""Typed column-major tables: schema, CSV ingestion, stats, seeded splitting."""
+"""Typed column-major tables: schema, CSV ingestion, seeded splitting."""
 from __future__ import annotations
 
 import csv
@@ -183,15 +183,6 @@ class TabularDataset:
         masks = {name: mask[idx] for name, mask in self.missing.items()}
         return TabularDataset(self.schema, cols, masks)
 
-    def equals(self, other: "TabularDataset") -> bool:
-        if self.schema != other.schema or self.row_count != other.row_count:
-            return False
-        for name in self.columns:
-            if not np.array_equal(self.columns[name], other.columns[name]):
-                return False
-            if not np.array_equal(self.missing_mask(name), other.missing_mask(name)):
-                return False
-        return True
 
 
 def schema_to_doc(schema: Sequence[ColumnSchema]) -> List[list]:
@@ -212,21 +203,9 @@ def schema_fingerprint(schema: Sequence[ColumnSchema]) -> str:
 
 
 @dataclass(frozen=True)
-class ColumnStats:
-    mean: float
-    stdev: float  # population standard deviation
-    min: float
-    max: float
-    distinct_count: int
-    value_counts: Optional[Dict[str, int]] = None
-
-
-@dataclass(frozen=True)
 class SplitIndices:
     train_rows: Tuple[int, ...]
     test_rows: Tuple[int, ...]
-    seed: int
-    ratio: float
 
 
 # -- CSV I/O ---------------------------------------------------------------
@@ -340,33 +319,6 @@ def concat(datasets: Sequence[TabularDataset]) -> TabularDataset:
     return TabularDataset(schema, columns, masks)
 
 
-# -- statistics --------------------------------------------------------------
-
-
-def column_stats(ds: TabularDataset, column: str) -> ColumnStats:
-    """Exact moments and extremes over the stored (non-missing) values."""
-    col = ds.column_schema(column)
-    if ds.row_count == 0:
-        raise DataError("empty dataset", column=column)
-    values = ds.columns[column]
-    mask = ds.missing_mask(column)
-    values = values[~mask]
-    if values.size == 0:
-        raise DataError("no usable values (all missing)", column=column)
-    value_counts = None
-    if col.kind in (ColumnKind.CATEGORICAL, ColumnKind.BINARY):
-        counts = np.bincount(values, minlength=len(col.categories))
-        value_counts = {tok: int(n) for tok, n in zip(col.categories, counts)}
-    return ColumnStats(
-        mean=float(np.mean(values)),
-        stdev=float(np.std(values)),
-        min=float(np.min(values)),
-        max=float(np.max(values)),
-        distinct_count=int(np.unique(values).size),
-        value_counts=value_counts,
-    )
-
-
 # -- splitting ---------------------------------------------------------------
 
 
@@ -374,14 +326,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split_train_test(
-    ds: TabularDataset, ratio: float, seed: int, stratified: bool = True
-) -> SplitIndices:
-    """Seeded exact partition into train/test; |train| = round(ratio * rows).
+def split_train_test(ds: TabularDataset, ratio: float, seed: int) -> SplitIndices:
+    """Seeded stratified partition into train/test; |train| = round(ratio * rows).
 
-    When stratified, the train count of each target class is within one row of
-    ratio * class size (largest-remainder apportionment over a seeded shuffle
-    within each class).
+    The train count of each target class is within one row of ratio * class
+    size (largest-remainder apportionment over a seeded shuffle within each
+    class).
     """
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must lie in (0, 1), got {ratio}")
@@ -391,12 +341,6 @@ def split_train_test(
     n_train = _round_half_up(ratio * n)
     n_train = min(max(n_train, 1), n - 1)
     rng = np.random.default_rng(seed)
-
-    if not stratified:
-        order = rng.permutation(n)
-        train = np.sort(order[:n_train])
-        test = np.sort(order[n_train:])
-        return SplitIndices(tuple(train.tolist()), tuple(test.tolist()), seed, ratio)
 
     y = ds.target()
     class_rows = [np.flatnonzero(y == cls) for cls in (0, 1)]
@@ -416,4 +360,4 @@ def split_train_test(
         test_parts.append(shuffled[take_n:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    return SplitIndices(tuple(train.tolist()), tuple(test.tolist()), seed, ratio)
+    return SplitIndices(tuple(train.tolist()), tuple(test.tolist()))

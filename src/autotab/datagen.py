@@ -74,10 +74,6 @@ def synthetic_heart(n: int, seed: int, pos_rate: float = 0.47) -> TabularDataset
     )
 
 
-def _row_key(ds: TabularDataset, i: int) -> tuple:
-    return tuple(ds.columns[c.name][i] for c in ds.schema)
-
-
 def _force_unique(columns: Dict[str, np.ndarray], schema) -> None:
     """Nudge Oldpeak on colliding rows until all rows differ."""
     names = [c.name for c in schema]

@@ -50,7 +50,6 @@ class FoldAssignment:
     k: int
     repeats: int
     assignment: np.ndarray  # (repeats, n_rows) fold index per row
-    seed: int
 
     def fold_rows(self, repeat: int, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment[repeat] == fold)
@@ -86,9 +85,6 @@ class EnsembleModel:
     stack_level: int
     threshold_k: float
 
-    def weight_map(self) -> Dict[str, float]:
-        return dict(self.members)
-
 
 def kfold_assign(
     n_rows: int, labels: Sequence[int], k: int, repeats: int, seed: int
@@ -112,7 +108,7 @@ def kfold_assign(
             rows = np.flatnonzero(labels == cls)
             shuffled = rng.permutation(rows)
             assignment[r, shuffled] = np.arange(len(rows)) % k
-    return FoldAssignment(n_rows=n_rows, k=k, repeats=repeats, assignment=assignment, seed=seed)
+    return FoldAssignment(n_rows=n_rows, k=k, repeats=repeats, assignment=assignment)
 
 
 def oof_predictions(

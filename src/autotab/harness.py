@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import TabularDataset, heart_schema, load_csv, write_csv
+from .data import ColumnSchema, TabularDataset, heart_schema, load_csv, write_csv
 from .ensemble import (
     DEFAULT_FOLDS,
     DEFAULT_MAX_ROUNDS,
@@ -86,7 +86,7 @@ class LeaderboardRow:
     stack_level: int
     accuracy_test: float
     accuracy_val: float
-    roc_auc: float
+    roc_auc: Optional[float]
     precision: Optional[float]
     f1: Optional[float]
     recall: Optional[float]
@@ -160,13 +160,31 @@ def parse_leaderboard(path: Union[str, Path]) -> List[LeaderboardRow]:
                 stack_level=int(parts[1]),
                 accuracy_test=float(parts[2]),
                 accuracy_val=float(parts[3]),
-                roc_auc=float(parts[4]),
+                roc_auc=_parse_cell(parts[4]),
                 precision=_parse_cell(parts[5]),
                 f1=_parse_cell(parts[6]),
                 recall=_parse_cell(parts[7]),
             )
         )
     return rows
+
+
+def write_split(
+    out_dir: Path,
+    artifacts: PreprocessArtifacts,
+    schema: Sequence[ColumnSchema],
+    train_ds: TabularDataset,
+    test_ds: TabularDataset,
+) -> Dict[str, Path]:
+    """Write artifacts.json, train.csv and test.csv: a cleaned, transformed split."""
+    files = {
+        "artifacts": save_artifacts(artifacts, schema, out_dir / "artifacts.json"),
+        "train": out_dir / "train.csv",
+        "test": out_dir / "test.csv",
+    }
+    write_csv(train_ds, files["train"])
+    write_csv(test_ds, files["test"])
+    return files
 
 
 def _row_from_report(model: str, level: int, rep: MetricsReport, acc_val: float) -> LeaderboardRow:
@@ -256,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if stale.name not in written:
                 stale.unlink()
         files = emit_leaderboard(rows, out_dir, skips)
-        files["artifacts"] = save_artifacts(artifacts, ds.schema, out_dir / "artifacts.json")
+        files.update(write_split(out_dir, artifacts, ds.schema, train_ds, test_ds))
         member_files: Dict[str, str] = {}
         for pid, model in models.items():
             name = f"model_{pid}.json"
@@ -265,10 +283,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         files[ENSEMBLE_NAME] = save_ensemble(
             ens, train_ds.schema, member_files, out_dir / f"model_{ENSEMBLE_NAME}.json"
         )
-        write_csv(train_ds, out_dir / "train.csv")
-        files["train"] = out_dir / "train.csv"
-        write_csv(test_ds, out_dir / "test.csv")
-        files["test"] = out_dir / "test.csv"
         return files
 
     files = phase("emit", _emit)

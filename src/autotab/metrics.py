@@ -27,15 +27,15 @@ class ConfusionMatrix:
 class MetricsReport:
     """Metric bundle for one model on one labeled sample.
 
-    precision/recall/f1 are None when their denominator is zero; they are
-    never silently reported as 0 or 1.
+    precision/recall/f1 are None when their denominator is zero, and roc_auc
+    when the sample holds one class; they are never silently reported as 0 or 1.
     """
 
     accuracy: float
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
-    roc_auc: float
+    roc_auc: Optional[float]
     threshold: float
 
 
@@ -131,11 +131,12 @@ def roc_auc_pairwise(labels: Sequence[int], scores: Sequence[float]) -> float:
 
 def report(labels: Sequence[int], probas: Sequence[float], threshold: float = 0.5) -> MetricsReport:
     cm = confusion(labels, probas, threshold)
+    one_class = cm.tp + cm.fn == 0 or cm.tn + cm.fp == 0
     return MetricsReport(
         accuracy=accuracy(cm),
         precision=precision(cm),
         recall=recall(cm),
         f1=f1(cm),
-        roc_auc=roc_auc(labels, probas),
+        roc_auc=None if one_class else roc_auc(labels, probas),
         threshold=threshold,
     )

@@ -176,7 +176,7 @@ def tune_preset(spec: ModelSpec, ds: TabularDataset, budget: int) -> ModelSpec:
     candidates = candidate_hyperparameters(spec, budget, rng)
     if len(candidates) < 2:
         return spec
-    split = split_train_test(ds, _INNER_RATIO, spec.seed, stratified=True)
+    split = split_train_test(ds, _INNER_RATIO, spec.seed)
     inner_train = ds.take(split.train_rows)
     inner_val = ds.take(split.test_rows)
     y_val = inner_val.target()

@@ -53,13 +53,6 @@ class CleaningReport:
     invalid_rows_removed: Dict[str, int] = field(default_factory=dict)
     outlier_rows_removed: Dict[str, int] = field(default_factory=dict)
 
-    def total_removed(self) -> int:
-        return (
-            self.duplicates_removed
-            + sum(self.invalid_rows_removed.values())
-            + sum(self.outlier_rows_removed.values())
-        )
-
 
 @dataclass(frozen=True)
 class BinningSpec:

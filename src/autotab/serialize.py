@@ -9,10 +9,9 @@ a reloaded model reproduces its predictions bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .data import ColumnSchema, schema_fingerprint, schema_from_doc, schema_to_doc
 from .ensemble import EnsembleModel
@@ -90,7 +89,7 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
         "spec": {
             "preset_id": model.spec.preset_id,
             "family": model.spec.family,
-            "hyperparameters": _jsonable(model.spec.hyperparameters),
+            "hyperparameters": model.spec.hyperparameters,
             "seed": model.spec.seed,
         },
         "fingerprint": model.fingerprint,
@@ -124,43 +123,45 @@ def save_ensemble(
     return _write_doc(doc, path)
 
 
+@dataclass
 class LoadedEnsemble:
     """An ensemble document together with its reloaded member models."""
 
-    def __init__(
-        self,
-        ensemble: EnsembleModel,
-        members: Dict[str, TrainedModel],
-        schema: Tuple[ColumnSchema, ...],
-        fingerprint: str,
-    ):
-        self.ensemble = ensemble
-        self.members = members
-        self.schema = schema
-        self.fingerprint = fingerprint
+    ensemble: EnsembleModel
+    members: Dict[str, TrainedModel]
+    schema: Tuple[ColumnSchema, ...]
+    fingerprint: str
+
+
+def _read_model_doc(path: Path) -> dict:
+    doc = _read_doc(path)
+    _check_header(doc, MODEL_FORMAT)
+    return doc
+
+
+def _level1_from_doc(doc: dict) -> TrainedModel:
+    spec_doc = doc["spec"]
+    spec = ModelSpec(
+        preset_id=spec_doc["preset_id"],
+        family=spec_doc["family"],
+        hyperparameters=_dejsonable(spec_doc["hyperparameters"]),
+        seed=int(spec_doc["seed"]),
+    )
+    return TrainedModel(
+        spec=spec,
+        fingerprint=doc["fingerprint"],
+        schema=schema_from_doc(doc["schema"]),
+        payload=_payload_from_doc(doc["payload"], spec.family),
+        featurizer=_featurizer_from_doc(doc.get("featurizer")),
+    )
 
 
 def load_model(path: Union[str, Path]) -> Union[TrainedModel, LoadedEnsemble]:
     path = Path(path)
-    doc = _read_doc(path)
-    _check_header(doc, MODEL_FORMAT)
+    doc = _read_model_doc(path)
     kind = doc.get("kind")
     if kind == "level1":
-        spec_doc = doc["spec"]
-        hp = _dejsonable(spec_doc["hyperparameters"])
-        spec = ModelSpec(
-            preset_id=spec_doc["preset_id"],
-            family=spec_doc["family"],
-            hyperparameters=hp,
-            seed=int(spec_doc["seed"]),
-        )
-        return TrainedModel(
-            spec=spec,
-            fingerprint=doc["fingerprint"],
-            schema=schema_from_doc(doc["schema"]),
-            payload=_payload_from_doc(doc["payload"], spec.family),
-            featurizer=_featurizer_from_doc(doc.get("featurizer")),
-        )
+        return _level1_from_doc(doc)
     if kind == "ensemble":
         ens = EnsembleModel(
             members=tuple((pid, float(w)) for pid, w in doc["members"]),
@@ -175,10 +176,10 @@ def load_model(path: Union[str, Path]) -> Union[TrainedModel, LoadedEnsemble]:
                 raise SerializeError(
                     f"ensemble member {pid!r} refers to missing document {ref!r}"
                 )
-            member = load_model(member_path)
-            if not isinstance(member, TrainedModel):
+            member_doc = _read_model_doc(member_path)
+            if member_doc.get("kind") != "level1":
                 raise SerializeError(f"ensemble member {pid!r} is not a level-1 model")
-            members[pid] = member
+            members[pid] = _level1_from_doc(member_doc)
         return LoadedEnsemble(
             ensemble=ens,
             members=members,
@@ -269,18 +270,6 @@ def load_artifacts(path: Union[str, Path]) -> Tuple[PreprocessArtifacts, Tuple[C
 
 
 # -- plumbing ---------------------------------------------------------------
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return list(_jsonable(v) for v in value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def _dejsonable(value):

@@ -1,10 +1,11 @@
-"""Schema, CSV ingestion, column stats, and seeded splitting."""
+"""Schema, CSV ingestion, and seeded splitting."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotab import data as D
+from conftest import same_data
 
 
 def tiny_schema():
@@ -192,48 +193,7 @@ def test_csv_round_trip_exact(tmp_path):
     f = tmp_path / "out.csv"
     D.write_csv(ds, f)
     back = D.load_csv(f, tiny_schema())
-    assert back.equals(ds)
-
-
-# -- stats ---------------------------------------------------------------------
-
-
-def test_column_stats_population_stdev():
-    ds = D.TabularDataset(
-        tiny_schema(),
-        {"x": [1.0, 2.0, 3.0, 4.0], "color": [0, 0, 1, 2], "flag": [0, 1, 0, 1], "y": [0, 1, 0, 1]},
-    )
-    st_ = D.column_stats(ds, "x")
-    assert st_.mean == 2.5
-    # population stdev of 1..4 = sqrt(1.25)
-    assert abs(st_.stdev - 1.118033988749895) < 1e-15
-    assert (st_.min, st_.max, st_.distinct_count) == (1.0, 4.0, 4)
-    cat = D.column_stats(ds, "color")
-    assert cat.value_counts == {"red": 2, "green": 1, "blue": 1}
-
-
-def test_column_stats_skips_missing():
-    ds = D.TabularDataset(
-        tiny_schema(),
-        {"x": [1.0, 0.0, 3.0], "color": [0, 1, 2], "flag": [0, 1, 0], "y": [0, 1, 1]},
-        missing={"x": np.array([False, True, False])},
-    )
-    st_ = D.column_stats(ds, "x")
-    assert st_.mean == 2.0
-    assert st_.distinct_count == 2
-
-
-def test_column_stats_errors():
-    ds = tiny_dataset()
-    with pytest.raises(D.DataError):
-        D.column_stats(ds, "nope")
-    all_missing = D.TabularDataset(
-        tiny_schema(),
-        {"x": [0.0], "color": [0], "flag": [0], "y": [0]},
-        missing={"x": np.array([True])},
-    )
-    with pytest.raises(D.DataError, match="all missing"):
-        D.column_stats(all_missing, "x")
+    assert same_data(back, ds)
 
 
 # -- splitting -----------------------------------------------------------------
@@ -303,9 +263,6 @@ def test_split_validation():
     single_class = balanced_dataset(10, 0)
     with pytest.raises(D.DataError, match="both classes"):
         D.split_train_test(single_class, 0.8, seed=0)
-    # unstratified path has no class requirement
-    sp = D.split_train_test(single_class, 0.8, seed=0, stratified=False)
-    assert len(sp.train_rows) == 8
 
 
 @settings(max_examples=80, deadline=None)

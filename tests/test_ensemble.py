@@ -241,7 +241,7 @@ class TestGreedySelect:
         weak = 1.0 - strong
         oof = OofMatrix(("strong", "weak"), np.column_stack([strong, weak]), y)
         ens = greedy_select(oof)  # default threshold: 1.0 - 0.05
-        assert ens.weight_map() == {"strong": 1.0}
+        assert ens.members == (("strong", 1.0),)
         assert ens.threshold_k == pytest.approx(0.95)
 
     def test_no_candidate_above_threshold_raises(self):

@@ -276,12 +276,32 @@ class TestCli:
             ["prep", "--data", str(small_csv), "--scenario", "s2", "--out", str(out)]
         )
         assert rc == 0
-        assert (out / "train.csv").exists()
-        assert (out / "test.csv").exists()
-        assert (out / "artifacts.json").exists()
+        # the same data, scenario, seed and ratio as the pinned s2 run
+        split_files = ("artifacts.json", "test.csv", "train.csv")
+        assert _digests(out) == {name: PINNED_DIGESTS["s2"][name] for name in split_files}
         printed = capsys.readouterr().out
         assert "after cleaning" in printed
         assert "train rows:" in printed
+
+    def test_score_one_class_file_leaves_auc_undefined(self, fast_result, tmp_path, capsys):
+        run_dir = Path(fast_result.config.out_dir)
+        header, first = (run_dir / "test.csv").read_text(encoding="utf-8").splitlines()[:2]
+        one_row = tmp_path / "one.csv"
+        one_row.write_text(f"{header}\n{first}\n", encoding="utf-8")
+        preds = tmp_path / "preds.csv"
+        rc = main(
+            [
+                "score",
+                "--model", str(run_dir / f"model_{ENSEMBLE_NAME}.json"),
+                "--data", str(one_row),
+                "--out", str(preds),
+            ]
+        )
+        assert rc == 0
+        assert "roc_auc:   undefined" in capsys.readouterr().out
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "row,proba,predicted"
+        assert len(lines) == 2
 
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         rc = main(

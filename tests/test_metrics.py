@@ -148,3 +148,10 @@ def test_report_composition():
     assert rep.recall == 0.6
     assert rep.threshold == 0.5
     assert rep.roc_auc == M.roc_auc(LABELS, PROBAS)
+
+
+def test_report_leaves_auc_undefined_on_one_class():
+    for labels in ([1, 1], [0, 0]):
+        rep = M.report(labels, [0.2, 0.7])
+        assert rep.roc_auc is None
+        assert rep.accuracy == 0.5

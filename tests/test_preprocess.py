@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from autotab import data as D
 from autotab import preprocess as P
 from autotab.datagen import synthetic_heart
+from conftest import same_data
 
 
 def heart_rows(n=40, seed=3):
@@ -29,16 +30,16 @@ def test_deduplicate_keeps_first_occurrence():
     assert report.duplicates_removed == 2
     assert report.rows_before == 4 and report.rows_after == 2
     base = heart_rows(4)
-    assert out.equals(base.take([0, 1]))
+    assert same_data(out, base.take([0, 1]))
 
 
 def test_deduplicate_identity_and_idempotent():
     ds = heart_rows(30)
     out, report = P.deduplicate(ds)
     assert report.duplicates_removed == 0
-    assert out.equals(ds)
+    assert same_data(out, ds)
     twice, report2 = P.deduplicate(out)
-    assert twice.equals(out) and report2.duplicates_removed == 0
+    assert same_data(twice, out) and report2.duplicates_removed == 0
 
 
 def test_deduplicate_distinguishes_missing_from_placeholder():
@@ -73,8 +74,13 @@ def with_values(ds, column, values):
 def test_cleaning_identity_when_tidy():
     ds = heart_rows(60)
     out, report = P.remove_invalid_and_outliers(ds)
-    assert out.equals(ds)
-    assert report.total_removed() == 0
+    assert same_data(out, ds)
+    removed = (
+        report.duplicates_removed
+        + sum(report.invalid_rows_removed.values())
+        + sum(report.outlier_rows_removed.values())
+    )
+    assert removed == 0
 
 
 def test_cleaning_zero_rows_and_attribution():
@@ -94,7 +100,12 @@ def test_cleaning_iqr_outliers():
     out, report = P.remove_invalid_and_outliers(spiked)
     assert report.outlier_rows_removed["Cholesterol"] >= 1
     assert 2000.0 not in out.column("Cholesterol")
-    assert out.row_count == 80 - report.total_removed()
+    removed = (
+        report.duplicates_removed
+        + sum(report.invalid_rows_removed.values())
+        + sum(report.outlier_rows_removed.values())
+    )
+    assert out.row_count == 80 - removed
 
 
 def test_cleaning_never_removes_infence_rows():
@@ -114,7 +125,12 @@ def test_cleaning_report_arithmetic():
     ds = heart_rows(90, seed=17)
     ds = with_values(ds, "Cholesterol", [0.0, 9999.0])
     out, report = P.remove_invalid_and_outliers(ds)
-    assert report.rows_after == report.rows_before - report.total_removed()
+    removed = (
+        report.duplicates_removed
+        + sum(report.invalid_rows_removed.values())
+        + sum(report.outlier_rows_removed.values())
+    )
+    assert report.rows_after == report.rows_before - removed
     assert out.row_count == report.rows_after
 
 
@@ -297,7 +313,7 @@ def test_imputation_median_and_mode():
 def test_imputation_noop_without_missing():
     ds = heart_rows(10)
     filled = P.apply_imputation(ds, {})
-    assert filled.equals(ds)
+    assert same_data(filled, ds)
 
 
 # -- scenario pipelines ----------------------------------------------------------------
@@ -340,15 +356,15 @@ def test_scenario_determinism(corpus):
     for scen in P.ScenarioId:
         a_train, a_test, _ = P.scenario_preprocess(corpus, scen, seed=5)
         b_train, b_test, _ = P.scenario_preprocess(corpus, scen, seed=5)
-        assert a_train.equals(b_train) and a_test.equals(b_test)
+        assert same_data(a_train, b_train) and same_data(a_test, b_test)
         c_train, _, _ = P.scenario_preprocess(corpus, scen, seed=6)
-        assert not a_train.equals(c_train)
+        assert not same_data(a_train, c_train)
 
 
 def test_scenario_artifacts_fit_on_train_only(corpus):
     train_raw, test_raw, art = P.scenario_preprocess(corpus, P.ScenarioId.S3, seed=0)
     cleaned, _ = P.clean(corpus)
-    split = D.split_train_test(cleaned, 0.8, 0, stratified=True)
+    split = D.split_train_test(cleaned, 0.8, 0)
     refit = P.fit_zscore(cleaned.take(split.train_rows))
     assert refit == art.norm
     test_fit = P.fit_zscore(cleaned.take(split.test_rows))
@@ -366,6 +382,6 @@ def test_transform_with_artifacts_matches_pipeline(corpus):
     for scen in P.ScenarioId:
         train, test, art = P.scenario_preprocess(corpus, scen, seed=2)
         cleaned, _ = P.clean(corpus)
-        split = D.split_train_test(cleaned, 0.8, 2, stratified=True)
+        split = D.split_train_test(cleaned, 0.8, 2)
         again = P.transform_with_artifacts(cleaned.take(split.test_rows), art)
-        assert again.equals(test)
+        assert same_data(again, test)

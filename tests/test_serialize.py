@@ -132,6 +132,14 @@ class TestEnsembleRoundTrip:
         with pytest.raises(SerializeError, match="knn-distance"):
             load_model(path)
 
+    def test_member_naming_an_ensemble_rejected(self, small_ds, tmp_path):
+        files = self._saved_members(small_ds, tmp_path)
+        ens = EnsembleModel((("gbt-default", 1.0),), stack_level=2, threshold_k=0.5)
+        files["gbt-default"] = "ens.json"  # the ensemble document itself
+        path = save_ensemble(ens, small_ds.schema, files, tmp_path / "ens.json")
+        with pytest.raises(SerializeError, match="'gbt-default' is not a level-1 model"):
+            load_model(path)
+
 
 class TestArtifactsRoundTrip:
     @pytest.mark.parametrize("scenario", [ScenarioId.S1, ScenarioId.S2, ScenarioId.S3])
