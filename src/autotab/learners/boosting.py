@@ -14,13 +14,13 @@ training loss does not increase; otherwise the tree is rescaled by halving
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .features import LearnerError
-from .trees import TreeArrays, grow_tree, predict_leaf_matrix, quantile_codes, trees_from_doc, trees_to_doc
+from .trees import TreeArrays, grow_tree, predict_leaf_matrix, quantile_codes
 
 _MAX_HALVINGS = 60
 
@@ -40,35 +40,13 @@ def logistic_loss(raw: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class BoostModel:
-    trees: List[TreeArrays]
     base_score: float
     learning_rate: float
     loss_trace: List[float]
     n_features: int
-    # per-column category -> target-statistic lookup, only for the ordered flavor
-    ts_tables: Dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def gbt_to_doc(model: BoostModel) -> dict:
-    return {
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "loss_trace": list(model.loss_trace),
-        "n_features": model.n_features,
-        "ts_tables": {str(f): t.tolist() for f, t in model.ts_tables.items()},
-        "trees": trees_to_doc(model.trees),
-    }
-
-
-def gbt_from_doc(doc: dict) -> BoostModel:
-    return BoostModel(
-        trees=trees_from_doc(doc["trees"]),
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
-        loss_trace=[float(x) for x in doc["loss_trace"]],
-        n_features=int(doc["n_features"]),
-        ts_tables={int(f): np.asarray(t, dtype=np.float64) for f, t in doc["ts_tables"].items()},
-    )
+    # per-column category -> target-statistic lookup; empty except for the ordered flavor
+    ts_tables: Dict[int, np.ndarray]
+    trees: List[TreeArrays]
 
 
 def _ordered_target_statistics(

@@ -7,7 +7,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .features import LearnerError
-from .trees import TreeArrays, exact_codes, grow_tree, predict_leaf_matrix, trees_from_doc, trees_to_doc
+from .trees import TreeArrays, exact_codes, grow_tree, predict_leaf_matrix
 
 _NO_DEPTH_LIMIT = 10_000
 
@@ -18,16 +18,8 @@ def sqrt_feature_count(n_features: int) -> int:
 
 @dataclass
 class ForestModel:
-    trees: List[TreeArrays]
     n_features: int
-
-
-def forest_to_doc(model: ForestModel) -> dict:
-    return {"n_features": model.n_features, "trees": trees_to_doc(model.trees)}
-
-
-def forest_from_doc(doc: dict) -> ForestModel:
-    return ForestModel(trees=trees_from_doc(doc["trees"]), n_features=int(doc["n_features"]))
+    trees: List[TreeArrays]
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: dict, seed_key: Tuple[int, ...]) -> ForestModel:

@@ -17,23 +17,10 @@ from .features import LearnerError
 
 @dataclass
 class KnnModel:
-    X: np.ndarray
-    y: np.ndarray
     k: int
     weighted: bool
-
-
-def knn_to_doc(model: KnnModel) -> dict:
-    return {"k": model.k, "weighted": model.weighted, "X": model.X.tolist(), "y": model.y.tolist()}
-
-
-def knn_from_doc(doc: dict) -> KnnModel:
-    return KnnModel(
-        X=np.asarray(doc["X"], dtype=np.float64),
-        y=np.asarray(doc["y"], dtype=np.float64),
-        k=int(doc["k"]),
-        weighted=bool(doc["weighted"]),
-    )
+    X: np.ndarray
+    y: np.ndarray
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, params: dict) -> KnnModel:

@@ -17,25 +17,9 @@ from .features import LearnerError
 
 @dataclass
 class MlpModel:
+    hidden: Tuple[int, ...]
     weights: List[np.ndarray]
     biases: List[np.ndarray]
-    hidden: Tuple[int, ...]
-
-
-def mlp_to_doc(model: MlpModel) -> dict:
-    return {
-        "hidden": list(model.hidden),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-
-
-def mlp_from_doc(doc: dict) -> MlpModel:
-    return MlpModel(
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        hidden=tuple(int(h) for h in doc["hidden"]),
-    )
 
 
 def init_params(

@@ -14,7 +14,7 @@ are real data values (or value boundaries), and prediction routes on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,21 +89,6 @@ def quantile_codes(X: np.ndarray, max_buckets: int = 32) -> ColumnCodes:
     return _assemble(X, boundaries)
 
 
-@dataclass
-class TreeArrays:
-    """Flat node storage; feature == -1 marks a leaf."""
-
-    feature: np.ndarray  # int32
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # int32, tree-local child index
-    right: np.ndarray  # int32
-    value: np.ndarray  # float64 leaf payload
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-
 _TREE_DTYPES = {
     "feature": np.int32,
     "threshold": np.float64,
@@ -113,15 +98,20 @@ _TREE_DTYPES = {
 }
 
 
-def trees_to_doc(trees: Sequence[TreeArrays]) -> List[dict]:
-    return [{name: getattr(t, name).tolist() for name in _TREE_DTYPES} for t in trees]
+@dataclass
+class TreeArrays:
+    """Flat node storage; feature == -1 marks a leaf. Array dtypes are `dtypes`."""
 
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray  # tree-local child index
+    right: np.ndarray
+    value: np.ndarray  # leaf payload
+    dtypes: ClassVar[Dict[str, type]] = _TREE_DTYPES
 
-def trees_from_doc(doc: Sequence[dict]) -> List[TreeArrays]:
-    return [
-        TreeArrays(**{name: np.asarray(t[name], dtype=dt) for name, dt in _TREE_DTYPES.items()})
-        for t in doc
-    ]
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
 
 
 def _xlogx(c: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def confusion(labels: Sequence[int], probas: Sequence[float], threshold: float =
         raise MetricError(f"labels and probas must be equal-length vectors, got {y.shape} and {p.shape}")
     if y.size == 0:
         raise MetricError("cannot tally an empty sample")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise MetricError("probabilities must lie in [0, 1]")
     if not np.all((y == 0) | (y == 1)):
         raise MetricError("labels must be 0 or 1")

@@ -13,11 +13,11 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .data import ColumnKind, ColumnSchema, TabularDataset, schema_fingerprint, split_train_test
-from .learners.boosting import fit_gbt, gbt_from_doc, gbt_proba, gbt_to_doc
+from .learners.boosting import BoostModel, fit_gbt, gbt_proba
 from .learners.features import Featurizer, LearnerError, dataset_matrix, featurize, fit_featurizer
-from .learners.forest import fit_forest, forest_from_doc, forest_proba, forest_to_doc
-from .learners.knn import fit_knn, knn_from_doc, knn_proba, knn_to_doc
-from .learners.mlp import fit_mlp, mlp_from_doc, mlp_proba, mlp_to_doc
+from .learners.forest import ForestModel, fit_forest, forest_proba
+from .learners.knn import KnnModel, fit_knn, knn_proba
+from .learners.mlp import MlpModel, fit_mlp, mlp_proba
 from .learners.presets import (
     FOREST,
     GBT,
@@ -67,12 +67,12 @@ class TrainedModel:
 @dataclass(frozen=True)
 class Family:
     """What differs between model families. `fit(spec, ds, X, y)` gets the
-    featurized matrix when `featurized`, else the raw column matrix."""
+    featurized matrix when `featurized`, else the raw column matrix, and
+    returns an instance of the `payload` dataclass."""
 
     fit: Callable[[ModelSpec, TabularDataset, np.ndarray, np.ndarray], object]
     proba: Callable[[object, np.ndarray], np.ndarray]
-    to_doc: Callable[[object], dict]
-    from_doc: Callable[[dict], object]
+    payload: type
     featurized: bool
     needs_continuous: bool = False
 
@@ -99,30 +99,26 @@ FAMILIES: Dict[str, Family] = {
     FOREST: Family(
         fit=lambda spec, ds, X, y: fit_forest(X, y, spec.hyperparameters, _seed_key(spec, 101)),
         proba=lambda m, X: forest_proba(m, X),
-        to_doc=forest_to_doc,
-        from_doc=forest_from_doc,
+        payload=ForestModel,
         featurized=False,
     ),
     GBT: Family(
         fit=_fit_gbt,
         proba=lambda m, X: gbt_proba(m, X),
-        to_doc=gbt_to_doc,
-        from_doc=gbt_from_doc,
+        payload=BoostModel,
         featurized=False,
     ),
     KNN: Family(
         fit=lambda spec, ds, X, y: fit_knn(X, y, spec.hyperparameters),
         proba=lambda m, X: knn_proba(m, X),
-        to_doc=knn_to_doc,
-        from_doc=knn_from_doc,
+        payload=KnnModel,
         featurized=True,
         needs_continuous=True,
     ),
     MLP: Family(
         fit=lambda spec, ds, X, y: fit_mlp(X, y, spec.hyperparameters, _seed_key(spec, 303)),
         proba=lambda m, X: mlp_proba(m, X),
-        to_doc=mlp_to_doc,
-        from_doc=mlp_from_doc,
+        payload=MlpModel,
         featurized=True,
     ),
 }

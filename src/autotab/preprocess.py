@@ -68,16 +68,7 @@ class BinningSpec:
         return len(self.edges) - 1
 
 
-@dataclass(frozen=True)
-class EncodingMap:
-    derived: Dict[str, Tuple[str, ...]]  # source column -> derived binary names, in category order
-
-    def __post_init__(self):
-        names = [d for cols in self.derived.values() for d in cols]
-        if len(set(names)) != len(names):
-            raise PreprocessError("derived one-hot names collide across source columns")
-
-
+EncodingMap = Dict[str, Tuple[str, ...]]  # source column -> derived binary names, in category order
 NormStats = Dict[str, Tuple[float, float]]  # column -> (train mean, train population stdev)
 
 
@@ -265,17 +256,20 @@ def build_encoding(schema: Sequence[ColumnSchema]) -> EncodingMap:
         if col.categories is None:
             raise PreprocessError(f"column {col.name} is continuous; bin it before encoding")
         derived[col.name] = tuple(f"{col.name}={cat}" for cat in col.categories)
-    return EncodingMap(derived=derived)
+    return derived
 
 
 def one_hot(ds: TabularDataset, mapping: EncodingMap) -> TabularDataset:
     """Expand every feature column into indicator columns; target passes through."""
+    names = [d for cols in mapping.values() for d in cols]
+    if len(set(names)) != len(names):
+        raise PreprocessError("derived one-hot names collide across source columns")
     schema = []
     columns = {}
     for col in ds.feature_schema:
-        if col.name not in mapping.derived:
+        if col.name not in mapping:
             raise PreprocessError(f"no encoding for column {col.name}")
-        derived = mapping.derived[col.name]
+        derived = mapping[col.name]
         if col.categories is None or len(col.categories) != len(derived):
             raise PreprocessError(f"encoding for {col.name} does not match its categories")
         if ds.missing_mask(col.name).any():

@@ -88,6 +88,7 @@ def test_criterion_02_cleaning_counts_stay_in_band():
     assert abs(rbp / 918 - 0.04) <= 0.02
 
 
+@pytest.mark.slow
 def test_criterion_03_ensemble_accuracy_bands_and_runtime(full_runs):
     for scenario, floor in ACCURACY_FLOORS.items():
         result = full_runs[scenario]
@@ -99,6 +100,7 @@ def test_criterion_03_ensemble_accuracy_bands_and_runtime(full_runs):
         assert result.elapsed_seconds < RUN_TIME_LIMIT
 
 
+@pytest.mark.slow
 def test_criterion_04_scenario_two_skips_neighbours_with_reasons(full_runs):
     result = full_runs[ScenarioId.S2]
     assert set(result.skips) == {"knn-uniform", "knn-distance"}
@@ -107,6 +109,7 @@ def test_criterion_04_scenario_two_skips_neighbours_with_reasons(full_runs):
     assert len(level1) == 11
 
 
+@pytest.mark.slow
 def test_criterion_05_ensemble_validation_dominates_singles(heart_raw):
     presets = ("knn-uniform", "knn-distance", "gbt-default", "rf-gini")
     for scenario in (ScenarioId.S1, ScenarioId.S2, ScenarioId.S3):
@@ -206,6 +209,7 @@ def test_criterion_08_network_gradients_match_finite_differences():
                     assert abs(gflat[i] - numeric) <= 1e-4 * abs(numeric) + 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_09_boosting_loss_traces_non_increasing(full_runs):
     train_ds = full_runs[ScenarioId.S3].train_ds
     for pid in ("gbt-xt", "gbt-default", "gbt-large", "gbt-newton"):
@@ -216,10 +220,11 @@ def test_criterion_09_boosting_loss_traces_non_increasing(full_runs):
         assert np.all(np.diff(trace) <= 0.0), f"{pid} loss trace increased"
 
 
+@pytest.mark.slow
 def test_criterion_10_preprocessing_properties(full_runs):
     s2 = full_runs[ScenarioId.S2]
     for ds in (s2.train_ds, s2.test_ds):
-        for source, derived in s2.artifacts.encoding.derived.items():
+        for source, derived in s2.artifacts.encoding.items():
             block = np.column_stack([ds.column(d) for d in derived])
             assert np.all(block.sum(axis=1) == 1), f"one-hot block for {source}"
     assert len(s2.train_ds.feature_schema) == 41
@@ -244,6 +249,7 @@ def test_criterion_10_preprocessing_properties(full_runs):
         assert np.all(np.diff(codes) >= 0), f"binning of {spec.column} not monotone"
 
 
+@pytest.mark.slow
 def test_criterion_11_reruns_and_round_trips_are_bit_exact(full_runs, tmp_path):
     first = full_runs[ScenarioId.S1]
     cfg = ExperimentConfig(

@@ -26,7 +26,6 @@ from autotab.learners.trees import (
     grow_tree,
     predict_leaf_matrix,
     quantile_codes,
-    trees_to_doc,
 )
 from autotab.model import (
     model_applicable,
@@ -36,6 +35,7 @@ from autotab.model import (
     train,
     tune_preset,
 )
+from autotab.serialize import _plain
 
 
 def toy_dataset(n=60, seed=3):
@@ -234,7 +234,7 @@ def test_tree_growth_matches_pinned_digest(name):
                 rng=rng, n_sample_features=sqrt_feature_count(X.shape[1]) if forest else None,
                 random_cuts=random_cuts, oblivious=oblivious,
             )
-            grown.append([trees_to_doc([tree]), leaf_of_row.tolist()])
+            grown.append([_plain([tree]), leaf_of_row.tolist()])
     grown.append(rng.random())
     assert hashlib.sha256(json.dumps(grown).encode()).hexdigest() == PINNED_TREE_DIGESTS[name]
 

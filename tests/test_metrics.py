@@ -58,6 +58,8 @@ def test_confusion_validation():
     with pytest.raises(M.MetricError):
         M.confusion([0, 1], [0.5, 1.2])
     with pytest.raises(M.MetricError):
+        M.confusion([1, 0], [math.nan, 0.2])
+    with pytest.raises(M.MetricError):
         M.confusion([0, 2], [0.5, 0.5])
 
 

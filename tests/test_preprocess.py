@@ -208,7 +208,7 @@ def test_build_encoding_over_heart_after_binning():
         for c in D.heart_schema()
     )
     enc = P.build_encoding(schema)
-    derived = [name for cols in enc.derived.values() for name in cols]
+    derived = [name for cols in enc.values() for name in cols]
     assert len(derived) == 41  # 5*5 + 4 + 3 + 3 + 2 + 2 + 2
     assert len(set(derived)) == 41
     assert "Age=bin0" in derived and "ST_Slope=Down" in derived
@@ -225,7 +225,7 @@ def test_one_hot_values_and_block_sums():
     feature_names = [c.name for c in encoded.feature_schema]
     assert len(feature_names) == 41
     assert all(c.kind == D.ColumnKind.BINARY for c in encoded.feature_schema)
-    for source, derived in enc.derived.items():
+    for source, derived in enc.items():
         block = np.column_stack([encoded.column(d) for d in derived])
         assert np.all(block.sum(axis=1) == 1)
     # row semantics: indicator matches the source category
@@ -248,7 +248,18 @@ def test_one_hot_binary_orientation():
 def test_one_hot_requires_encoding_for_every_column():
     ds = heart_rows(10)
     with pytest.raises(P.PreprocessError):
-        P.one_hot(ds, P.EncodingMap(derived={"Sex": ("Sex=M", "Sex=F")}))
+        P.one_hot(ds, {"Sex": ("Sex=M", "Sex=F")})
+
+
+def test_one_hot_rejects_colliding_derived_names():
+    ds = heart_rows(10)
+    binned = ds
+    for name in ds.continuous_names():
+        binned = P.apply_binning(binned, P.fit_binning(ds, name))
+    enc = P.build_encoding(binned.schema)
+    enc["FastingBS"] = enc["Sex"]
+    with pytest.raises(P.PreprocessError, match="collide"):
+        P.one_hot(binned, enc)
 
 
 # -- z-score ------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """JSON document round trips for models, ensembles and preprocessing artifacts."""
+import dataclasses
 import json
 
 import numpy as np
@@ -36,6 +37,19 @@ SMALL_SPECS = {
 }
 
 
+def _arrays(value):
+    """Every ndarray inside a payload, in field order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
 class TestModelRoundTrip:
     @pytest.mark.parametrize("preset_id", sorted(SMALL_SPECS))
     def test_predictions_survive_round_trip(self, preset_id, small_ds, tmp_path):
@@ -48,6 +62,10 @@ class TestModelRoundTrip:
         assert loaded.fingerprint == model.fingerprint
         after = predict_proba(loaded, small_ds)
         assert np.array_equal(before, after)
+        resaved = save_model(loaded, tmp_path / "resaved.json")
+        assert resaved.read_bytes() == path.read_bytes()
+        fitted, reloaded = _arrays(model.payload), _arrays(loaded.payload)
+        assert fitted and [a.dtype for a in reloaded] == [a.dtype for a in fitted]
 
     def test_document_is_plain_json(self, small_ds, tmp_path):
         spec = preset_by_id("gbt-default").with_hyperparameters(SMALL_SPECS["gbt-default"])
@@ -91,6 +109,32 @@ class TestModelRoundTrip:
         with pytest.raises(SerializeError):
             load_model(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "number,field",
+        [("NaN", "value"), ("-Infinity", "value"), ("1e999", "value"), ("null", "value"), ("1e999", "base_score")],
+    )
+    def test_non_finite_numbers_rejected(self, number, field, small_ds, tmp_path):
+        spec = preset_by_id("gbt-default").with_hyperparameters(SMALL_SPECS["gbt-default"])
+        path = save_model(train(spec, small_ds), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        if field == "value":
+            for tree in doc["payload"]["trees"]:
+                tree["value"] = ["X"] * len(tree["value"])
+        else:
+            doc["payload"][field] = "X"
+        path.write_text(json.dumps(doc).replace('"X"', number))
+        with pytest.raises(SerializeError, match="non-finite|expected float"):
+            load_model(path)
+
+    def test_missing_payload_field_named(self, small_ds, tmp_path):
+        spec = preset_by_id("rf-gini").with_hyperparameters(SMALL_SPECS["rf-gini"])
+        path = save_model(train(spec, small_ds), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        del doc["payload"]["trees"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializeError, match="ForestModel has no field 'trees'"):
+            load_model(path)
+
 
 class TestEnsembleRoundTrip:
     def _saved_members(self, ds, tmp_path):
@@ -129,6 +173,18 @@ class TestEnsembleRoundTrip:
         )
         path = save_ensemble(ens, small_ds.schema, files, tmp_path / "ens.json")
         (tmp_path / "model_knn-distance.json").unlink()
+        with pytest.raises(SerializeError, match="knn-distance"):
+            load_model(path)
+
+    def test_member_absent_from_member_files_named(self, small_ds, tmp_path):
+        files = self._saved_members(small_ds, tmp_path)
+        ens = EnsembleModel(
+            (("gbt-default", 0.5), ("knn-distance", 0.5)), stack_level=2, threshold_k=0.5
+        )
+        path = save_ensemble(ens, small_ds.schema, files, tmp_path / "ens.json")
+        doc = json.loads(path.read_text())
+        del doc["member_files"]["knn-distance"]
+        path.write_text(json.dumps(doc))
         with pytest.raises(SerializeError, match="knn-distance"):
             load_model(path)
 
