@@ -82,7 +82,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_prep(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds = load_csv(args.data, heart_schema())
     scenario = ScenarioId.parse(args.scenario)
     train_ds, test_ds, artifacts = scenario_preprocess(

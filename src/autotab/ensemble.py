@@ -9,16 +9,15 @@ weights are selection counts over total selections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import TabularDataset
-from .learners.features import LearnerError
 from .learners.presets import ModelSpec
 from .metrics import accuracy, confusion
-from .model import NOT_APPLICABLE, model_applicable, predict_proba, train
+from .model import predict_proba, train
 
 __all__ = [
     "EnsembleError",
@@ -63,7 +62,6 @@ class OofMatrix:
     preset_ids: Tuple[str, ...]
     probas: np.ndarray  # (n_rows, n_models), averaged over repeats
     labels: np.ndarray
-    skipped: Dict[str, str] = field(default_factory=dict)
 
     def column(self, preset_id: str) -> np.ndarray:
         try:
@@ -112,40 +110,18 @@ def kfold_assign(
 
 
 def oof_predictions(
-    specs: Sequence[ModelSpec], train_ds: TabularDataset, folds: FoldAssignment
-) -> OofMatrix:
-    """One out-of-fold probability column per spec; failures become skips."""
+    spec: ModelSpec, train_ds: TabularDataset, folds: FoldAssignment
+) -> np.ndarray:
+    """The spec's out-of-fold probability column, averaged over the repeats."""
     if folds.n_rows != train_ds.row_count:
         raise EnsembleError("fold assignment does not cover the training rows")
-    labels = train_ds.target()
-    columns: List[np.ndarray] = []
-    kept: List[str] = []
-    skipped: Dict[str, str] = {}
-    for spec in specs:
-        if not model_applicable(spec, train_ds.feature_schema):
-            skipped[spec.preset_id] = NOT_APPLICABLE
-            continue
-        acc = np.zeros(folds.n_rows)
-        try:
-            for r in range(folds.repeats):
-                for j in range(folds.k):
-                    fit_rows = folds.complement_rows(r, j)
-                    score_rows = folds.fold_rows(r, j)
-                    member = train(spec, train_ds.take(fit_rows))
-                    acc[score_rows] += predict_proba(member, train_ds.take(score_rows))
-        except LearnerError as exc:
-            skipped[spec.preset_id] = f"training failed: {exc}"
-            continue
-        columns.append(acc / folds.repeats)
-        kept.append(spec.preset_id)
-    if not columns:
-        raise EnsembleError("no model produced out-of-fold predictions")
-    return OofMatrix(
-        preset_ids=tuple(kept),
-        probas=np.column_stack(columns),
-        labels=labels,
-        skipped=skipped,
-    )
+    column = np.zeros(folds.n_rows)
+    for r in range(folds.repeats):
+        for j in range(folds.k):
+            member = train(spec, train_ds.take(folds.complement_rows(r, j)))
+            score_rows = folds.fold_rows(r, j)
+            column[score_rows] += predict_proba(member, train_ds.take(score_rows))
+    return column / folds.repeats
 
 
 def default_threshold(single_accuracies: Sequence[float]) -> float:

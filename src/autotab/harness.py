@@ -1,9 +1,10 @@
 """Experiment driver: one scenario end to end, leaderboard out.
 
 Pipeline per run: load the data, clean and split it, fit the scenario
-transform on the training split, tune each applicable preset on an inner
-split, collect out-of-fold predictions, build the greedy weighted ensemble,
-refit every kept model on the full training split, and score everything on
+transform on the training split, then take each applicable preset in turn:
+tune it on an inner split, collect its out-of-fold predictions and refit it
+on the full training split; a failed fit skips only that preset. Build the
+greedy weighted ensemble on the out-of-fold columns and score everything on
 the held-out test rows. Every random decision is derived from the config
 seed, so the same config always emits the same bytes.
 """
@@ -28,9 +29,10 @@ from .ensemble import (
     kfold_assign,
     oof_predictions,
 )
+from .learners.features import LearnerError
 from .learners.presets import PRESET_INDEX
 from .metrics import MetricsReport, accuracy, confusion, report
-from .model import predict_proba, registry_presets, train, tune_preset
+from .model import NOT_APPLICABLE, model_applicable, predict_proba, registry_presets, train, tune_preset
 from .preprocess import PreprocessArtifacts, ScenarioId, scenario_preprocess
 from .serialize import save_artifacts, save_ensemble, save_model
 
@@ -110,10 +112,6 @@ def _fmt(value: Optional[float]) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
-def _parse_cell(cell: str) -> Optional[float]:
-    return None if cell == "undefined" else float(cell)
-
-
 def emit_leaderboard(
     rows: Sequence[LeaderboardRow], out_dir: Union[str, Path], skips: Optional[Dict[str, str]] = None
 ) -> Dict[str, Path]:
@@ -143,30 +141,6 @@ def emit_leaderboard(
             txt_lines.append(f"  {pid}: {skips[pid]}")
     txt_path.write_text("\n".join(txt_lines) + "\n", encoding="utf-8")
     return {"csv": csv_path, "txt": txt_path}
-
-
-def parse_leaderboard(path: Union[str, Path]) -> List[LeaderboardRow]:
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    if not lines or lines[0] != LEADERBOARD_HEADER:
-        raise ValueError(f"unexpected leaderboard header in {path}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed leaderboard line: {line!r}")
-        rows.append(
-            LeaderboardRow(
-                model=parts[0],
-                stack_level=int(parts[1]),
-                accuracy_test=float(parts[2]),
-                accuracy_val=float(parts[3]),
-                roc_auc=_parse_cell(parts[4]),
-                precision=_parse_cell(parts[5]),
-                f1=_parse_cell(parts[6]),
-                recall=_parse_cell(parts[7]),
-            )
-        )
-    return rows
 
 
 def write_split(
@@ -220,34 +194,40 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     wanted = cfg.presets if cfg.presets is not None else tuple(PRESET_INDEX)
     base_specs = [s.with_seed(cfg.seed) for s in registry_presets() if s.preset_id in wanted]
-    tuned = phase(
-        "tune",
-        lambda: [tune_preset(spec, train_ds, cfg.tune_budget) for spec in base_specs],
+    folds = phase(
+        "stack",
+        lambda: kfold_assign(train_ds.row_count, train_ds.target(), cfg.folds, cfg.repeats, cfg.seed),
     )
 
-    def _oof():
-        folds = kfold_assign(
-            train_ds.row_count, train_ds.target(), cfg.folds, cfg.repeats, cfg.seed
-        )
-        return oof_predictions(tuned, train_ds, folds)
-
-    oof = phase("stack", _oof)
-    skips = oof.skipped
+    # each preset is tuned, stacked and refit in turn; a failed fit skips only that preset
+    skips: Dict[str, str] = {}
+    columns: Dict[str, np.ndarray] = {}
+    models = {}
+    for spec in base_specs:
+        pid = spec.preset_id
+        if not model_applicable(spec, train_ds.feature_schema):
+            skips[pid] = NOT_APPLICABLE
+            continue
+        try:
+            tuned = phase("tune", lambda: tune_preset(spec, train_ds, cfg.tune_budget))
+            column = phase("stack", lambda: oof_predictions(tuned, train_ds, folds))
+            model = phase("refit", lambda: train(tuned, train_ds))
+        except HarnessError as exc:
+            if not isinstance(exc.__cause__, LearnerError):
+                raise
+            skips[pid] = f"training failed: {exc.__cause__}"
+            continue
+        columns[pid] = column
+        models[pid] = model
+    if not columns:
+        raise HarnessError("stack", "no model produced out-of-fold predictions")
+    oof = OofMatrix(tuple(columns), np.column_stack(list(columns.values())), train_ds.target())
     val_acc = oof.accuracies()
 
     ens = phase("ensemble", lambda: greedy_select(oof, None, DEFAULT_MAX_ROUNDS))
     ens_val = accuracy(
         confusion(oof.labels, ensemble_predict(ens, {pid: oof.column(pid) for pid in dict(ens.members)}))
     )
-
-    def _refit():
-        models = {}
-        for spec in tuned:
-            if spec.preset_id in oof.preset_ids:
-                models[spec.preset_id] = train(spec, train_ds)
-        return models
-
-    models = phase("refit", _refit)
 
     def _score():
         y_test = test_ds.target()

@@ -25,7 +25,7 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Metric bundle for one model on one labeled sample.
+    """Metric bundle for one model on one labeled sample, positive at proba >= 0.5.
 
     precision/recall/f1 are None when their denominator is zero, and roc_auc
     when the sample holds one class; they are never silently reported as 0 or 1.
@@ -36,7 +36,6 @@ class MetricsReport:
     recall: Optional[float]
     f1: Optional[float]
     roc_auc: Optional[float]
-    threshold: float
 
 
 def confusion(labels: Sequence[int], probas: Sequence[float], threshold: float = 0.5) -> ConfusionMatrix:
@@ -129,8 +128,8 @@ def roc_auc_pairwise(labels: Sequence[int], scores: Sequence[float]) -> float:
     return doubled_wins / (2 * n_pos * n_neg)
 
 
-def report(labels: Sequence[int], probas: Sequence[float], threshold: float = 0.5) -> MetricsReport:
-    cm = confusion(labels, probas, threshold)
+def report(labels: Sequence[int], probas: Sequence[float]) -> MetricsReport:
+    cm = confusion(labels, probas)
     one_class = cm.tp + cm.fn == 0 or cm.tn + cm.fp == 0
     return MetricsReport(
         accuracy=accuracy(cm),
@@ -138,5 +137,4 @@ def report(labels: Sequence[int], probas: Sequence[float], threshold: float = 0.
         recall=recall(cm),
         f1=f1(cm),
         roc_auc=None if one_class else roc_auc(labels, probas),
-        threshold=threshold,
     )

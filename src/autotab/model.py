@@ -166,7 +166,7 @@ def tune_preset(spec: ModelSpec, ds: TabularDataset, budget: int) -> ModelSpec:
     The default setting is always candidate zero; up to `budget` seeded grid
     draws compete with it and ties keep the earliest candidate.
     """
-    if budget <= 0 or not model_applicable(spec, ds.feature_schema):
+    if budget <= 0:
         return spec
     rng = np.random.default_rng(np.random.SeedSequence(_seed_key(spec, _TUNE_TAG)))
     candidates = candidate_hyperparameters(spec, budget, rng)

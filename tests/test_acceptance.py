@@ -21,7 +21,7 @@ from autotab.ensemble import (
 from autotab.harness import ENSEMBLE_NAME, ExperimentConfig, run_experiment
 from autotab.learners.mlp import init_params, mlp_loss_gradient
 from autotab.metrics import accuracy, confusion, f1, precision, recall, roc_auc, roc_auc_pairwise
-from autotab.model import predict_proba, preset_by_id, train
+from autotab.model import model_applicable, predict_proba, preset_by_id, train
 from autotab.preprocess import (
     ScenarioId,
     apply_binning,
@@ -116,8 +116,12 @@ def test_criterion_05_ensemble_validation_dominates_singles(heart_raw):
         for seed in range(5):
             train_ds, _, _ = scenario_preprocess(heart_raw, scenario, seed)
             specs = [preset_by_id(pid).with_seed(seed) for pid in presets]
+            specs = [s for s in specs if model_applicable(s, train_ds.feature_schema)]
             folds = kfold_assign(train_ds.row_count, train_ds.target(), 5, 1, seed)
-            oof = oof_predictions(specs, train_ds, folds)
+            columns = [oof_predictions(spec, train_ds, folds) for spec in specs]
+            oof = OofMatrix(
+                tuple(s.preset_id for s in specs), np.column_stack(columns), train_ds.target()
+            )
             ens = greedy_select(oof)
             pool = {pid: oof.column(pid) for pid in dict(ens.members)}
             ens_val = accuracy(confusion(oof.labels, ensemble_predict(ens, pool)))

@@ -103,8 +103,7 @@ class TestOofPredictions:
             {"n_trees": 0, "max_depth": 3, "learning_rate": 0.1}
         )
         folds = kfold_assign(8, ds.target(), k=2, repeats=1, seed=0)
-        oof = oof_predictions([spec], ds, folds)
-        assert np.array_equal(oof.column("gbt-default"), np.full(8, 0.5))
+        assert np.array_equal(oof_predictions(spec, ds, folds), np.full(8, 0.5))
 
     def test_two_folds_train_each_model_twice(self, monkeypatch):
         ds = balanced_dataset(10)
@@ -120,45 +119,8 @@ class TestOofPredictions:
             {"n_trees": 2, "max_depth": 2, "learning_rate": 0.1}
         )
         folds = kfold_assign(10, ds.target(), k=2, repeats=1, seed=0)
-        oof_predictions([spec], ds, folds)
+        oof_predictions(spec, ds, folds)
         assert calls == ["gbt-default", "gbt-default"]
-
-    def test_inapplicable_spec_recorded_as_skip(self):
-        schema = [
-            ColumnSchema("flag", ColumnKind.BINARY, ("n", "y")),
-            ColumnSchema("target", ColumnKind.TARGET),
-        ]
-        cols = {
-            "flag": np.arange(12) % 2,
-            "target": (np.arange(12) // 2 % 2).astype(np.int64),
-        }
-        ds = TabularDataset(schema, cols)
-        specs = [
-            preset_by_id("knn-uniform"),
-            preset_by_id("gbt-default").with_hyperparameters(
-                {"n_trees": 2, "max_depth": 2, "learning_rate": 0.1}
-            ),
-        ]
-        folds = kfold_assign(12, ds.target(), k=2, repeats=1, seed=0)
-        oof = oof_predictions(specs, ds, folds)
-        assert oof.preset_ids == ("gbt-default",)
-        assert oof.skipped["knn-uniform"] == "no continuous feature columns after preprocessing"
-
-    def test_training_failure_recorded_not_fatal(self):
-        ds = balanced_dataset(10)
-        bad = preset_by_id("knn-uniform").with_hyperparameters({"k": -1})
-        good = preset_by_id("knn-uniform")
-        folds = kfold_assign(10, ds.target(), k=2, repeats=1, seed=0)
-        oof = oof_predictions([bad, good], ds, folds)
-        assert oof.preset_ids == ("knn-uniform",)
-        assert "training failed" in oof.skipped["knn-uniform"]
-
-    def test_all_failures_raise(self):
-        ds = balanced_dataset(10)
-        bad = preset_by_id("knn-uniform").with_hyperparameters({"k": -1})
-        folds = kfold_assign(10, ds.target(), k=2, repeats=1, seed=0)
-        with pytest.raises(EnsembleError):
-            oof_predictions([bad], ds, folds)
 
     def test_entries_come_from_models_that_never_saw_the_row(self):
         ds = synthetic_heart(40, seed=2)
@@ -166,8 +128,7 @@ class TestOofPredictions:
             {"criterion": "gini", "n_trees": 10, "max_depth": 0, "min_leaf": 1, "bootstrap": True}
         ).with_seed(3)
         folds = kfold_assign(40, ds.target(), k=2, repeats=1, seed=1)
-        oof = oof_predictions([spec], ds, folds)
-        col = oof.column("rf-gini")
+        col = oof_predictions(spec, ds, folds)
         for j in range(2):
             fit_rows = folds.complement_rows(0, j)
             score_rows = folds.fold_rows(0, j)
@@ -179,7 +140,7 @@ class TestOofPredictions:
         ds = balanced_dataset(10)
         folds = kfold_assign(8, np.arange(8) % 2, k=2, repeats=1, seed=0)
         with pytest.raises(EnsembleError):
-            oof_predictions([preset_by_id("gbt-default")], ds, folds)
+            oof_predictions(preset_by_id("gbt-default"), ds, folds)
 
     def test_missing_column_lookup_raises(self):
         oof = OofMatrix(("a",), np.zeros((3, 1)), np.array([0, 1, 0]))

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import autotab.ensemble as ensemble_mod
+import autotab.harness as harness_mod
+import autotab.model as model_mod
 from autotab.cli import main
 from autotab.data import write_csv
 from autotab.datagen import synthetic_heart
@@ -16,9 +19,9 @@ from autotab.harness import (
     HarnessError,
     LeaderboardRow,
     emit_leaderboard,
-    parse_leaderboard,
     run_experiment,
 )
+from autotab.learners.features import LearnerError
 from autotab.preprocess import ScenarioId
 from autotab.serialize import load_artifacts, load_model
 
@@ -63,6 +66,18 @@ PINNED_DIGESTS = {
 
 def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out_dir).iterdir())}
+
+
+def parse_leaderboard(path):
+    """leaderboard.csv back as rows; an "undefined" cell reads as None."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == LEADERBOARD_HEADER
+    rows = []
+    for line in lines[1:]:
+        model, level, *cells = line.split(",")
+        assert len(cells) == 6, line
+        rows.append(LeaderboardRow(model, int(level), *(None if c == "undefined" else float(c) for c in cells)))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +245,75 @@ class TestRunExperiment:
         assert _digests(out) == PINNED_DIGESTS["s2"]
 
 
+class TestSkips:
+    """One skip rule for the whole run: a preset that cannot be fitted is
+    listed with its reason and gets no out-of-fold column, row or document."""
+
+    def _run(self, small_csv, out, scenario=ScenarioId.S1, **overrides):
+        settings = {"folds": 2, "tune_budget": 0, **overrides}
+        return run_experiment(ExperimentConfig(small_csv, scenario, out, **settings))
+
+    @staticmethod
+    def _bad_knn(monkeypatch):
+        # knn-uniform tuned to k=-1, which every fit of it rejects
+        def tune(spec, ds, budget):
+            return spec.with_hyperparameters({"k": -1}) if spec.preset_id == "knn-uniform" else spec
+
+        monkeypatch.setattr(harness_mod, "tune_preset", tune)
+
+    def _assert_skipped(self, result, pid, reason):
+        assert result.skips[pid] == reason
+        assert pid not in result.oof.preset_ids
+        assert pid not in [r.model for r in result.rows]
+        out = Path(result.config.out_dir)
+        assert not (out / f"model_{pid}.json").exists()
+        text = (out / "leaderboard.txt").read_text(encoding="utf-8")
+        assert f"skipped models:\n  {pid}: {result.skips[pid]}" in text
+
+    def test_inapplicable_preset_recorded_as_skip(self, small_csv, tmp_path):
+        result = self._run(small_csv, tmp_path, ScenarioId.S2, presets=("knn-uniform", "gbt-default"))
+        self._assert_skipped(result, "knn-uniform", "no continuous feature columns after preprocessing")
+        assert result.oof.preset_ids == ("gbt-default",)
+
+    def test_training_failure_recorded_not_fatal(self, small_csv, tmp_path, monkeypatch):
+        self._bad_knn(monkeypatch)
+        result = self._run(small_csv, tmp_path, presets=("knn-uniform", "knn-distance"))
+        self._assert_skipped(result, "knn-uniform", "training failed: k must be positive, got -1")
+        assert result.oof.preset_ids == ("knn-distance",)
+
+    def test_all_failures_raise(self, small_csv, tmp_path, monkeypatch):
+        self._bad_knn(monkeypatch)
+        with pytest.raises(HarnessError, match=r"^\[stack\] no model produced out-of-fold predictions$"):
+            self._run(small_csv, tmp_path, presets=("knn-uniform",))
+
+    def test_refit_failure_skips_only_that_preset(self, small_csv, tmp_path, monkeypatch):
+        original = harness_mod.train
+
+        def train(spec, ds):
+            if spec.preset_id == "knn-uniform":
+                raise LearnerError("refit refused")
+            return original(spec, ds)
+
+        monkeypatch.setattr(harness_mod, "train", train)
+        result = self._run(small_csv, tmp_path, presets=("knn-uniform", "knn-distance"))
+        self._assert_skipped(result, "knn-uniform", "training failed: refit refused")
+        assert [r.model for r in result.rows] == ["knn-distance", ENSEMBLE_NAME]
+
+    def test_fold_count_checked_before_any_fit(self, small_csv, tmp_path, monkeypatch):
+        calls = []
+        original = model_mod.train
+
+        def counting_train(spec, ds):
+            calls.append(spec.preset_id)
+            return original(spec, ds)
+
+        for module in (model_mod, ensemble_mod, harness_mod):
+            monkeypatch.setattr(module, "train", counting_train)
+        with pytest.raises(HarnessError, match=r"^\[stack\] class \d has \d+ rows, fewer than 400 folds$"):
+            self._run(small_csv, tmp_path, presets=("gbt-default",), folds=400, tune_budget=2)
+        assert calls == []
+
+
 class TestCli:
     def test_run_and_score_agree(self, small_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -282,6 +366,14 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "after cleaning" in printed
         assert "train rows:" in printed
+
+    def test_failed_prep_leaves_no_output_directory(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "prep"
+        for data, scenario in ((tmp_path / "nope.csv", "s1"), (small_csv, "s9")):
+            rc = main(["prep", "--data", str(data), "--scenario", scenario, "--out", str(out)])
+            assert rc == 1
+            assert not out.exists()
+        assert capsys.readouterr().err.count("error [prep]") == 2
 
     def test_score_one_class_file_leaves_auc_undefined(self, fast_result, tmp_path, capsys):
         run_dir = Path(fast_result.config.out_dir)

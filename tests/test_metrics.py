@@ -148,7 +148,6 @@ def test_report_composition():
     assert rep.accuracy == 0.7
     assert rep.precision == 0.75
     assert rep.recall == 0.6
-    assert rep.threshold == 0.5
     assert rep.roc_auc == M.roc_auc(LABELS, PROBAS)
 
 

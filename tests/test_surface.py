@@ -3,7 +3,8 @@
 A function that only tests call is API the program does not need. A name
 counts as used when it appears, outside its own definition, as a name, an
 attribute or a string constant (perfbench's tracer wraps functions by name)
-in src/, scripts/ or perfbench/.
+in src/, scripts/ or perfbench/. A use under scripts/ or perfbench/ does not
+count when that tree defines a function of the same name: it calls its own.
 """
 import ast
 from pathlib import Path
@@ -35,16 +36,26 @@ def _name_uses(trees):
     return uses
 
 
+def _function_defs(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _top(path):
+    return path.relative_to(ROOT).parts[0]
+
+
 def test_every_function_has_a_program_caller():
     trees = _parse_program()
-    uses = _name_uses(trees)
+    own_defs = {top: set() for top in PROGRAM_DIRS if top != "src"}
+    for path, tree in trees.items():
+        if _top(path) in own_defs:
+            own_defs[_top(path)].update(node.name for node in _function_defs(tree))
+    uses = [(p, line, n) for p, line, n in _name_uses(trees) if n not in own_defs.get(_top(p), ())]
     unused = []
     for path, tree in trees.items():
         if ROOT / "src" / "autotab" not in path.parents:
             continue
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in _function_defs(tree):
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or name in EXEMPT:
                 continue
